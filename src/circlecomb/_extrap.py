@@ -5,8 +5,10 @@ that is smooth at the evaluation point expand in even powers of the
 window half-width, so extrapolating in the squared parameter converges
 fastest there.  At kinks the expansion picks up odd powers and the even
 model stalls; plain polynomial extrapolation in the parameter itself
-handles those.  `dual_extrapolate` runs both and keeps whichever
-settles better, judged by the size of its own last correction.
+handles those.  `realfilter.extrapolated_limit` is the one place that
+runs both and keeps whichever settles better; this module holds the
+Neville tableau and the divergence and concentrated-mass heuristics it
+judges them with.
 """
 
 from __future__ import annotations
@@ -33,19 +35,6 @@ def neville_to_zero(xs, values):
         p = p[:m - lev]
         corrections.append(np.abs(p[-1] - prev))
     return p[-1], corrections
-
-
-def dual_extrapolate(eps_values, values):
-    """Extrapolate window-average values to vanishing window width.
-
-    Returns (value, residual, model) with model one of "even", "poly".
-    The even model is preferred on ties.
-    """
-    v_even, c_even = neville_to_zero(np.square(eps_values), values)
-    v_poly, c_poly = neville_to_zero(eps_values, values)
-    if c_poly[-1] < c_even[-1]:
-        return v_poly, float(c_poly[-1]), "poly"
-    return v_even, float(c_even[-1]), "even"
 
 
 def diverging(corrections, value, floor=1e-8):

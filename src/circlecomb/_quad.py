@@ -1,6 +1,7 @@
 """Composite Gauss-Legendre panel quadrature with pinned panel boundaries.
 
-All integrals in this package go through :func:`integrate`.  Panels are
+All integrals in this package go through :func:`refine`, the one
+panel-doubling loop; :func:`integrate` is its scalar form.  Panels are
 pinned at declared trouble points (jumps, kinks, poles, interpolation
 nodes) so that sample abscissae never land on them: Gauss-Legendre nodes
 are strictly interior to each panel.  Refinement doubles the panel count
@@ -8,6 +9,8 @@ until two consecutive levels agree to the requested tolerance.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -50,6 +53,39 @@ def _refine(edges):
     return out
 
 
+def refine(level, lo, hi, pins=(), tol=1e-10, base_panels=1,
+           max_doublings=MAX_DOUBLINGS):
+    """Double the panels over [lo, hi] until two levels agree to `tol`.
+
+    `level(x, w)` maps one panel set's flat sample abscissae and weights
+    to a float or an array; the estimate is the worst entry of the
+    difference of two consecutive levels.  Returns (value, estimate) of
+    the last level.  Raises QuadratureFailure as soon as that difference
+    is not finite (an undefined sample stays at every level), or when
+    the doubling budget runs out above `tol`.
+    """
+    edges = _initial_edges(lo, hi, pins, base_panels)
+    value = level(*_panel_samples(edges))
+    estimate = np.inf
+    for _ in range(max_doublings):
+        edges = _refine(edges)
+        new = level(*_panel_samples(edges))
+        diff = abs(new - value)
+        estimate = float(diff.max()) if isinstance(diff, np.ndarray) else diff
+        value = new
+        if not math.isfinite(estimate):
+            raise QuadratureFailure(
+                f"non-finite level difference {estimate}: the integrand "
+                "is undefined or infinite on the range",
+                value=value, estimate=estimate)
+        if estimate <= tol:
+            return value, estimate
+    raise QuadratureFailure(
+        f"panel refinement exhausted ({max_doublings} doublings), "
+        f"estimate {estimate:.3e} > tol {tol:.3e}",
+        value=value, estimate=estimate)
+
+
 def integrate(fn, lo, hi, pins=(), tol=1e-10, base_panels=1,
               max_doublings=MAX_DOUBLINGS):
     """Integrate `fn` over [lo, hi] with panel boundaries pinned at `pins`.
@@ -77,49 +113,8 @@ def integrate(fn, lo, hi, pins=(), tol=1e-10, base_panels=1,
     Raises
     ------
     QuadratureFailure
-        If the doubling budget is exhausted before the estimate drops
-        below `tol`.
+        See :func:`refine`.
     """
-    edges = _initial_edges(lo, hi, pins, base_panels)
-    x, w = _panel_samples(edges)
-    value = float(np.dot(w, fn(x)))
-    estimate = np.inf
-    for _ in range(max_doublings):
-        edges = _refine(edges)
-        x, w = _panel_samples(edges)
-        new = float(np.dot(w, fn(x)))
-        estimate = abs(new - value)
-        value = new
-        if estimate <= tol:
-            return value, estimate
-    raise QuadratureFailure(
-        f"panel refinement exhausted ({max_doublings} doublings), "
-        f"estimate {estimate:.3e} > tol {tol:.3e}",
-        value=value, estimate=estimate)
-
-
-def integrate_many(fns_weight_fn, lo, hi, pins=(), tol=1e-10, base_panels=1,
-                   max_doublings=MAX_DOUBLINGS):
-    """Shared-sample variant: integrate a whole family of integrands at once.
-
-    `fns_weight_fn(x)` must return a 2-D array, one row per integrand,
-    evaluated at the flat sample array `x`.  All rows share the same
-    panels; convergence is judged on the worst row.  Returns
-    (values, estimate) with `values` a 1-D array.
-    """
-    edges = _initial_edges(lo, hi, pins, base_panels)
-    x, w = _panel_samples(edges)
-    values = fns_weight_fn(x) @ w
-    estimate = np.inf
-    for _ in range(max_doublings):
-        edges = _refine(edges)
-        x, w = _panel_samples(edges)
-        new = fns_weight_fn(x) @ w
-        estimate = float(np.max(np.abs(new - values)))
-        values = new
-        if estimate <= tol:
-            return values, estimate
-    raise QuadratureFailure(
-        f"panel refinement exhausted ({max_doublings} doublings), "
-        f"estimate {estimate:.3e} > tol {tol:.3e}",
-        value=values, estimate=estimate)
+    return refine(lambda x, w: float(np.dot(w, fn(x))), lo, hi, pins=pins,
+                  tol=tol, base_panels=base_panels,
+                  max_doublings=max_doublings)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadParams, DomainError, NotAvailable, UnknownName
 from .spectrum import (DEFAULT_N, CoefficientSequence, EvaluatorFunction,
                        SingularPoint, angular_derivative, circle_distance,
-                       wrap_angle)
+                       sinc, wrap_angle)
 
 COMBED = "combed"
 RAGGED = "ragged"
@@ -116,12 +116,6 @@ def _build_constant(raw):
 
 # ------------------------------------------------------------------ cosine
 
-def _sinc_scalar(x: float) -> float:
-    if abs(x) < 1e-4:
-        return 1.0 - x * x / 6.0 * (1.0 - x * x / 20.0)
-    return math.sin(x) / x
-
-
 def _build_cosine(raw):
     raw = dict(raw)
     k = _integer(raw.pop("k", 1), "k")
@@ -141,7 +135,7 @@ def _build_cosine(raw):
         return 0.0, a, np.zeros(n)
 
     def filtered(eps):
-        m = _sinc_scalar(k * eps)
+        m = float(sinc(k * eps))
 
         def frule(th):
             return m * np.cos(k * np.asarray(th, dtype=float))

@@ -22,15 +22,15 @@ import numpy as np
 
 from ._extrap import mass_signature, neville_to_zero
 from .catalog import make
-from .disk import DEFAULT_DELTA_SCHEDULE, _sinc, boundary_value_grid
+from .disk import DEFAULT_DELTA_SCHEDULE, boundary_value_grid
 from .errors import (CircleCombError, DomainError, NoConvergence,
                      QuadratureFailure, UndefinedHere)
 from .realfilter import (DEFAULT_EPS_SCHEDULE, GridFunction,
-                         _check_eps_schedule, extrapolated_limit,
+                         check_eps_schedule, extrapolated_limit,
                          kernel_filter_eval)
 from .spectrum import (DEFAULT_N, CoefficientSequence, EvaluatorFunction,
                        circle_distance, compute_coefficients, grid_nodes,
-                       partial_sum_grid, wrap_angle)
+                       partial_sum_grid, sinc, wrap_angle)
 
 COMBED = "combed"
 RAGGED = "ragged"
@@ -141,7 +141,7 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
                           f"got {n_grid}")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    es = _check_eps_schedule(eps_schedule)
+    es = check_eps_schedule(eps_schedule)
     h_lateral = 2.0 * (2.0 * math.pi / n_grid)
     quad_tol = min(1e-12, tol * 1e-3)
 
@@ -211,7 +211,7 @@ def classify_coefficients(seq: CoefficientSequence,
         ks = sorted({1, max(1, seq.n // 2), seq.n})
     else:
         ks = []
-    mults = tuple(tuple(float(_sinc(np.asarray(k * e))) for e in es)
+    mults = tuple(tuple(float(sinc(k * e)) for e in es)
                   for k in ks)
     gap = max((abs(1.0 - row[-1]) for row in mults), default=0.0)
     return CoefficientCertificate(verdict=COMBED, checked_k=tuple(ks),
@@ -237,7 +237,7 @@ def comb_by_filter_limit(f: EvaluatorFunction, n_grid: int = 256,
                          ) -> GridFunction:
     """The limit function itself, node by node; failures become mask
     holes instead of errors."""
-    es = _check_eps_schedule(eps_schedule)
+    es = check_eps_schedule(eps_schedule)
     thetas = grid_nodes(n_grid)
     values = np.full(n_grid, np.nan)
     defined = np.zeros(n_grid, dtype=bool)

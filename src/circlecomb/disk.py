@@ -27,7 +27,7 @@ import numpy as np
 
 from ._extrap import neville_to_zero
 from .errors import DivergenceDetected, DomainError, OutOfDomain
-from .spectrum import CoefficientSequence
+from .spectrum import CoefficientSequence, sinc
 
 DEFAULT_DELTA_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
@@ -138,7 +138,7 @@ def _tail_check(w: InnerAnalyticFunction, rho: float):
         warnings.warn(
             f"truncation tail bound {bound:.2e} at rho={rho}; "
             "increase the coefficient count for radii this close to 1",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=4)   # boundary_value(_grid)'s caller
 
 
 def evaluate(w: InnerAnalyticFunction, point) -> complex:
@@ -172,7 +172,7 @@ def complex_filter(w: InnerAnalyticFunction, eps: float) -> InnerAnalyticFunctio
     if not (0.0 < eps <= np.pi):
         raise DomainError(f"window half-width {eps} outside (0, pi]")
     k = np.arange(1, w.n + 1, dtype=float)
-    return InnerAnalyticFunction(w.c * _sinc(k * eps), w.log_power)
+    return InnerAnalyticFunction(w.c * sinc(k * eps), w.log_power)
 
 
 def arc_filter_eval(w: InnerAnalyticFunction, theta: float, eps: float,
@@ -198,18 +198,6 @@ def arc_filter_eval(w: InnerAnalyticFunction, theta: float, eps: float,
     return complex(-0.5j / eps * diff)
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    """sin(x)/x with a series guard near zero."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = 1.0 - xs * xs / 6.0 * (1.0 - xs * xs / 20.0)
-    xb = x[~small]
-    out[~small] = np.sin(xb) / xb
-    return out
-
-
 @dataclass(frozen=True)
 class BoundaryValueReport:
     """Radial limit estimate at one angle, with the ring data behind it."""
@@ -229,14 +217,10 @@ def _check_schedule(deltas) -> np.ndarray:
     return d
 
 
-def boundary_value_grid(seq: CoefficientSequence, thetas,
-                        delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE):
-    """Radial limits a0 + Re w((1-delta) e^{i theta}) extrapolated to delta = 0.
-
-    Vectorized over angles.  Returns (values, residuals, defined) where
-    `defined` is False at angles whose ring values blow up monotonically
-    past the coefficient scale; those values are NaN.
-    """
+def _radial_limits(seq: CoefficientSequence, thetas, delta_schedule):
+    """Ring values a0 + Re w((1-delta) e^{i theta}), one row per delta,
+    and their extrapolation to delta = 0: (deltas, values, residuals,
+    defined, rings)."""
     d = _check_schedule(delta_schedule)
     w = from_coefficients(seq)
     _tail_check(w, 1.0 - float(d[-1]))
@@ -255,18 +239,27 @@ def boundary_value_grid(seq: CoefficientSequence, thetas,
     residuals = np.asarray(corrections[-1], dtype=float)
     values = np.where(diverged, np.nan, values)
     residuals = np.where(diverged, np.nan, residuals)
-    return values, residuals, ~diverged
+    return d, values, residuals, ~diverged, rings
+
+
+def boundary_value_grid(seq: CoefficientSequence, thetas,
+                        delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE):
+    """Radial limits a0 + Re w((1-delta) e^{i theta}) extrapolated to delta = 0.
+
+    Vectorized over angles.  Returns (values, residuals, defined) where
+    `defined` is False at angles whose ring values blow up monotonically
+    past the coefficient scale; those values are NaN.
+    """
+    return _radial_limits(seq, thetas, delta_schedule)[1:4]
 
 
 def boundary_value(seq: CoefficientSequence, theta: float,
                    delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE
                    ) -> BoundaryValueReport:
     """Boundary value at one angle; raises DivergenceDetected on blow-up."""
-    d = _check_schedule(delta_schedule)
-    w = from_coefficients(seq)
-    ring = np.array([seq.a0 + eval_ring(w, 1.0 - dj, [theta])[0].real
-                     for dj in d])
-    values, residuals, defined = boundary_value_grid(seq, [theta], d)
+    d, values, residuals, defined, rings = _radial_limits(
+        seq, [theta], delta_schedule)
+    ring = rings[:, 0]
     if not defined[0]:
         raise DivergenceDetected(
             f"ring values at theta={theta} grow without settling: "

@@ -18,7 +18,8 @@ class NonIntegrableInput(CircleCombError):
 
 
 class QuadratureFailure(CircleCombError):
-    """Panel refinement exhausted its budget before reaching the tolerance."""
+    """Panel refinement exhausted its budget before reaching the tolerance,
+    or met an integrand without a finite value."""
 
     def __init__(self, message, value=None, estimate=None):
         super().__init__(message)

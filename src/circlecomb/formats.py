@@ -171,6 +171,19 @@ def write_grid(path, grid: GridFunction, domain=None):
     save_json(_sidecar(path), meta)
 
 
+def _finite_list(raw, what):
+    """A JSON list of finite numbers as a tuple of floats."""
+    try:
+        if isinstance(raw, list) and all(type(x) in (int, float)
+                                         for x in raw):
+            vals = tuple(float(x) for x in raw)
+            if all(math.isfinite(v) for v in vals):
+                return vals
+    except OverflowError:       # an integer beyond the float range
+        pass
+    raise DomainError(f"{what} must be a list of finite numbers")
+
+
 def read_grid(path):
     """Load a grid CSV (and sidecar when present).
 
@@ -211,13 +224,13 @@ def read_grid(path):
         meta = load_json(side)
         if not isinstance(meta, dict):
             raise DomainError(f"{side}: metadata must be a JSON object")
-        singulars = tuple(float(s) for s in meta.get("singular_points", []))
+        singulars = _finite_list(meta.get("singular_points", []),
+                                 f"{side}: singular_points")
         note = str(meta.get("note", ""))
         if "domain" in meta:
-            dom = meta["domain"]
-            if (not isinstance(dom, list)) or len(dom) != 2:
+            domain = _finite_list(meta["domain"], f"{side}: domain [a, b]")
+            if len(domain) != 2:
                 raise DomainError(f"{side}: domain must be [a, b]")
-            domain = (float(dom[0]), float(dom[1]))
     grid = GridFunction(values=values, defined=defined,
                         singular_points=singulars, note=note)
     return grid, domain

@@ -19,11 +19,11 @@ import numpy as np
 
 from . import _quad
 from ._extrap import diverging, mass_signature, neville_to_zero
-from .disk import _sinc
 from .errors import (DomainError, EpsilonBelowResolution, NoConvergence,
                      UndefinedHere)
 from .spectrum import (TWO_PI, CoefficientSequence, EvaluatorFunction,
-                       SingularPoint, circle_distance, grid_nodes, wrap_angle)
+                       SingularPoint, circle_distance, grid_nodes, sinc,
+                       wrap_angle)
 
 DEFAULT_EPS_SCHEDULE = (0.2, 0.1, 0.05, 0.025)
 
@@ -133,7 +133,7 @@ def multiplier_filter(seq: CoefficientSequence, eps: float) -> CoefficientSequen
     sin(k eps)/(k eps); the mean passes through unchanged."""
     if not (0.0 < eps <= math.pi):
         raise DomainError(f"window half-width {eps} outside (0, pi]")
-    m = _sinc(seq.k_values() * eps)
+    m = sinc(seq.k_values() * eps)
     return CoefficientSequence(seq.a0, seq.a * m, seq.b * m,
                                quadrature_error=seq.quadrature_error)
 
@@ -188,7 +188,9 @@ def kernel_filter_grid(grid: GridFunction, eps: float) -> GridFunction:
                         note=f"filtered(eps={eps:.17g}) {grid.note}".strip())
 
 
-def _check_eps_schedule(eps_schedule) -> np.ndarray:
+def check_eps_schedule(eps_schedule) -> np.ndarray:
+    """The schedule as an array; DomainError unless it holds >= 3
+    strictly decreasing half-widths in (0, pi]."""
     es = np.asarray(eps_schedule, dtype=float)
     if es.size < 3 or np.any(es <= 0) or np.any(es > math.pi) \
             or np.any(np.diff(es) >= 0):
@@ -238,7 +240,7 @@ def filter_limit(f: EvaluatorFunction, theta: float,
     Returns (value, residual).  The residual is the last extrapolation
     correction, an honest error scale for the reported value.
     """
-    es = _check_eps_schedule(eps_schedule)
+    es = check_eps_schedule(eps_schedule)
     vals = [kernel_filter_eval(f, theta, e, tol=tol) for e in es]
     return extrapolated_limit(es, vals)
 
@@ -253,7 +255,7 @@ def filtered_derivative_limit(f: EvaluatorFunction, theta: float,
     declared singular point or on a point without a value; NoConvergence
     where the endpoint differences blow up (one-sided jumps).
     """
-    es = _check_eps_schedule(eps_schedule)
+    es = check_eps_schedule(eps_schedule)
     vals = []
     for e in es:
         hi, lo = wrap_angle(theta + e), wrap_angle(theta - e)

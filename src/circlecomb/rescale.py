@@ -44,7 +44,8 @@ class IntervalMap:
         xs = np.asarray(x, dtype=float)
         if np.any(xs < self.a) or np.any(xs > self.b):
             raise OutOfDomain(f"point outside [{self.a}, {self.b}]")
-        th = TWO_PI * (xs - self.a) / self.length - math.pi
+        # Same form as grid_nodes: exact at both ends, never past pi.
+        th = ((2.0 * (xs - self.a) - self.length) / self.length) * math.pi
         return float(th) if np.ndim(x) == 0 else th
 
     def from_canonical(self, theta):

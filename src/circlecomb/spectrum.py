@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _quad
-from .errors import DomainError, NonIntegrableInput, QuadratureFailure
+from .errors import DomainError, NonIntegrableInput
 
 TWO_PI = 2.0 * math.pi
 
@@ -176,43 +176,48 @@ def compute_coefficients(f, n=DEFAULT_N, panels_per_interval=4,
     NonIntegrableInput
         If any singular point is flagged non-integrable.
     QuadratureFailure
-        If the refinement budget runs out above `tol`.
+        If the refinement budget runs out above `tol`, or at once where
+        the evaluator has no value on a sampled stretch.
     """
     for s in f.singular_points:
         if not s.integrable:
             raise NonIntegrableInput(
                 f"cannot integrate across the point theta={s.theta!r}")
     lo, hi = f.domain
-    edges = _quad._initial_edges(lo, hi, f.pin_points(), panels_per_interval)
 
-    def level_values(edges):
-        x, w = _quad._panel_samples(edges)
+    def level(x, w):
+        # One array [a0, a_1..a_n, b_1..b_n], so the estimate is the
+        # worst coefficient.
         fw = f.sample(x) * w
-        a0 = fw.sum() / TWO_PI
-        a = np.empty(n)
-        b = np.empty(n)
+        out = np.empty(2 * n + 1)
+        out[0] = fw.sum() / TWO_PI
         for k0 in range(0, n, _CHUNK):
             k = np.arange(k0 + 1, min(k0 + _CHUNK, n) + 1, dtype=float)
             kx = np.multiply.outer(k, x)
-            a[k0:k0 + k.size] = np.cos(kx) @ fw / math.pi
-            b[k0:k0 + k.size] = np.sin(kx) @ fw / math.pi
-        return a0, a, b
+            out[1 + k0:1 + k0 + k.size] = np.cos(kx) @ fw / math.pi
+            out[1 + n + k0:1 + n + k0 + k.size] = np.sin(kx) @ fw / math.pi
+        return out
 
-    a0, a, b = level_values(edges)
-    estimate = np.inf
-    for _ in range(_quad.MAX_DOUBLINGS):
-        edges = _quad._refine(edges)
-        a0n, an, bn = level_values(edges)
-        estimate = max(abs(a0n - a0),
-                       float(np.max(np.abs(an - a))) if n else 0.0,
-                       float(np.max(np.abs(bn - b))) if n else 0.0)
-        a0, a, b = a0n, an, bn
-        if estimate <= tol:
-            return CoefficientSequence(a0=a0, a=a, b=b,
-                                       quadrature_error=estimate)
-    raise QuadratureFailure(
-        f"coefficient quadrature did not reach tol {tol:.3e}, "
-        f"estimate {estimate:.3e}", value=None, estimate=estimate)
+    values, estimate = _quad.refine(level, lo, hi, pins=f.pin_points(),
+                                    tol=tol, base_panels=panels_per_interval)
+    return CoefficientSequence(a0=values[0], a=values[1:n + 1],
+                               b=values[n + 1:], quadrature_error=estimate)
+
+
+def sinc(x):
+    """sin(x)/x with a series guard near zero, elementwise.
+
+    The window-average multiplier of harmonic k at half-width eps is
+    sinc(k eps).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    out[small] = 1.0 - xs * xs / 6.0 * (1.0 - xs * xs / 20.0)
+    xb = x[~small]
+    out[~small] = np.sin(xb) / xb
+    return out
 
 
 def partial_sum_eval(seq, theta, m=None):

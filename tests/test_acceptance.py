@@ -98,7 +98,7 @@ PULSE_RHO = 1.0 - 1e-4
 PULSE_NODES = 2048
 PULSE_ORDER = 32768             # truncation tail: see _pulse_tail_bound
 PULSE_EDGE_CLEARANCE = 0.02
-PULSE_INTEGRAL_TOL = 1e-6
+PULSE_MASS_TOL = 1e-12          # roundoff only
 
 
 def _poisson_mass_beyond(rho, r):
@@ -138,7 +138,14 @@ def test_criterion_1_pulse_recovery_from_filtered_point_mass():
 
     height = 1.0 / (2.0 * PULSE_EPS)
     width = 2.0 * PULSE_EPS
-    integral_gap = abs(height * width - 1.0)
+    # Unit mass: the cell sum of the values is 1 plus the harmonics
+    # m N that alias onto the grid mean, e^{i m N theta_j} = (-1)^{m N}.
+    m_n = PULSE_NODES * np.arange(1, PULSE_ORDER // PULSE_NODES + 1)
+    aliased = 2.0 * float(np.sum(
+        (-1.0) ** m_n * np.cos(m_n * PULSE_CENTER)
+        * np.sin(m_n * PULSE_EPS) / (m_n * PULSE_EPS) * PULSE_RHO ** m_n))
+    cell_sum = 2.0 * math.pi / PULSE_NODES * float(np.sum(values))
+    integral_gap = abs(cell_sum - 1.0 - aliased)
 
     exact = height * poisson_arc_indicator(PULSE_RHO, thetas,
                                            PULSE_CENTER, PULSE_EPS)
@@ -159,7 +166,7 @@ def test_criterion_1_pulse_recovery_from_filtered_point_mass():
     margin = float(np.min(floor + tail[far] - far_gap))
 
     ok = (tail_share <= 1.0 and margin >= 0.0
-          and integral_gap <= PULSE_INTEGRAL_TOL)
+          and integral_gap <= PULSE_MASS_TOL)
     assert _line(1, ok,
                  f"ring rho = {PULSE_RHO} vs the pulse's Poisson "
                  f"extension: max gap {float(np.max(oracle_gap)):.3e}, "
@@ -168,9 +175,9 @@ def test_criterion_1_pulse_recovery_from_filtered_point_mass():
                  f"the edges: sup gap {float(np.max(far_gap)):.3e} vs "
                  f"floor {floor:.3e} + tail bound <= "
                  f"{float(np.max(tail[far])):.1e}, margin {margin:.1e} "
-                 f"(height {height:g}, width {width:g}, "
-                 f"integral gap {integral_gap:.1e} vs "
-                 f"{PULSE_INTEGRAL_TOL:.0e})"), (
+                 f"(height {height:g}, width {width:g}, cell sum "
+                 f"{cell_sum:.9f} = 1 + aliasing {aliased:.9f} up to "
+                 f"{integral_gap:.1e} vs {PULSE_MASS_TOL:.0e})"), (
         "the filtered point mass read on the ring must match the pulse's "
         "Poisson extension within the truncation tail bound and the "
         "pulse within floor h (M(d) + M(2 eps - d)) plus that bound")

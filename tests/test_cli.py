@@ -322,3 +322,25 @@ class TestExitCodes:
         p = run_cli("spectrum", "--input", path, "--n", "4")
         assert p.returncode == 3
         assert "numeric failure" in p.stderr
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"singular_points": 5}',
+        '{"singular_points": ["x"]}',
+        '{"domain": ["a", 1]}',
+        '{"singular_points": [NaN]}',
+        '{"singular_points": [1' + '0' * 400 + ']}',
+    ], ids=["points-not-a-list", "point-not-a-number", "domain-not-numbers",
+            "point-nan", "point-beyond-float"])
+    def test_malformed_sidecars_exit_2_before_any_work(self, tmp_path,
+                                                        sidecar):
+        path = tmp_path / "g.csv"
+        write_grid(path, GridFunction(np.cos(grid_nodes(16)),
+                                      np.ones(16, bool)))
+        (tmp_path / "g.csv.json").write_text(sidecar)
+        out = tmp_path / "out.csv"
+        p = run_cli("filter", "--input", path, "--eps", "0.5",
+                    "--output", out)
+        assert p.returncode == 2
+        assert len(p.stderr.splitlines()) == 1
+        assert "g.csv.json" in p.stderr
+        assert not out.exists()

@@ -1,12 +1,15 @@
 """Panel quadrature: exactness, pinning, refinement, failure reporting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from circlecomb._quad import GAUSS_ORDER, integrate, integrate_many
+from circlecomb._quad import GAUSS_ORDER, integrate, refine
 from circlecomb.errors import QuadratureFailure
+from circlecomb.realfilter import GridFunction, grid_evaluator, kernel_filter_eval
+from circlecomb.spectrum import compute_coefficients, grid_nodes
 
 
 def test_polynomial_exactness():
@@ -64,10 +67,44 @@ def test_budget_exhaustion_raises_with_context():
 
 
 def test_integrate_many_matches_scalar_route():
-    def family(x):
-        return np.vstack([np.cos(x), np.sin(x), x ** 2])
+    # The shared refinement loop on a whole family at once: one panel
+    # set, judged on the worst row, matches the scalar route row by row.
+    def family(x, w):
+        return np.vstack([np.cos(x), np.sin(x), x ** 2]) @ w
 
-    values, _ = integrate_many(family, 0.0, 2.0, tol=1e-12)
+    values, _ = refine(family, 0.0, 2.0, tol=1e-12)
     for row, fn in zip(values, (np.cos, np.sin, lambda t: t ** 2)):
         single, _ = integrate(fn, 0.0, 2.0, tol=1e-12)
         assert row == pytest.approx(single, abs=1e-13)
+
+
+def _holey_interpolant():
+    """Grid interpolant with one undefined node, wrapped to count how
+    often its rule runs: the two cells next to the node are NaN at every
+    refinement level."""
+    th = grid_nodes(64)
+    defined = np.ones(64, dtype=bool)
+    defined[40] = False
+    ev = grid_evaluator(GridFunction(np.where(defined, np.cos(th), np.nan),
+                                     defined))
+    calls = []
+
+    def rule(x):
+        calls.append(1)
+        return ev.rule(x)
+
+    return replace(ev, rule=rule), float(th[40]), calls
+
+
+def test_undefined_samples_fail_fast_in_coefficient_quadrature():
+    ev, _, calls = _holey_interpolant()
+    with pytest.raises(QuadratureFailure, match="non-finite"):
+        compute_coefficients(ev, n=64)
+    assert len(calls) <= 2
+
+
+def test_undefined_samples_fail_fast_in_window_quadrature():
+    ev, theta, calls = _holey_interpolant()
+    with pytest.raises(QuadratureFailure, match="non-finite"):
+        kernel_filter_eval(ev, theta + 0.01, 0.2)
+    assert len(calls) <= 2
