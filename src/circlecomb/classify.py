@@ -305,7 +305,7 @@ def comb_from_coefficients(seq: CoefficientSequence, n_grid: int = 256,
 
 
 def comb_by_fourier(f: EvaluatorFunction, n: int = DEFAULT_N,
-                    n_grid: int = 256, coeff_tol: float = 1e-10,
+                    n_grid: int = 256,
                     diagnostic_tol: float = DEFAULT_TOL) -> FourierCombResult:
     """Comb through the coefficient route: integrate, then resum.
 
@@ -314,7 +314,7 @@ def comb_by_fourier(f: EvaluatorFunction, n: int = DEFAULT_N,
     coefficients (and everything downstream) match the spike-free
     function bit for bit.  NonIntegrableInput propagates.
     """
-    seq = compute_coefficients(f, n=n, tol=coeff_tol)
+    seq = compute_coefficients(f, n=n)
     return comb_from_coefficients(
         seq, n_grid, diagnostic_tol,
         singular_points=tuple(s.theta for s in f.singular_points))

@@ -23,7 +23,7 @@ from .errors import (BadParams, CircleCombError, DivergenceDetected,
                      QuadratureFailure, UndefinedHere, UnknownName)
 from .realfilter import (DEFAULT_EPS_SCHEDULE, GridFunction, grid_evaluator,
                          kernel_filter_grid, multiplier_filter)
-from .spectrum import DEFAULT_N, compute_coefficients, grid_nodes
+from .spectrum import DEFAULT_N, grid_coefficients, grid_nodes
 
 _USAGE_ERRORS = (DomainError, OutOfDomain, BadParams, UnknownName,
                  NotAvailable, EpsilonBelowResolution)
@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_catalog_flags(p)
     p.add_argument("--input", help="grid CSV to integrate")
     p.add_argument("--n", type=int, default=DEFAULT_N)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--output", help="coefficient JSON path (default stdout)")
 
     p = sub.add_parser("filter", help="window-average a coefficient JSON "
@@ -104,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_EPS_SCHEDULE)
     p.add_argument("--rho-schedule", dest="rho_schedule", type=_float_list,
                    help="radii increasing toward 1 for the disk route")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("eval", help="evaluate coefficients on a ring or "
@@ -129,13 +127,11 @@ def _is_json(path: str) -> bool:
     return str(path).lower().endswith(".json")
 
 
-def _load_grid_evaluator(path):
-    """Grid CSV -> (evaluator, grid, domain); seam-aware for interval data."""
-    grid, domain = formats.read_grid(path)
+def _grid_interpolant(grid, domain):
+    """The grid's evaluator; seam-aware for interval data."""
     if domain is None:
-        return grid_evaluator(grid), grid, None
-    ev = rescale.grid_pullback_evaluator(grid, rescale.IntervalMap(*domain))
-    return ev, grid, domain
+        return grid_evaluator(grid)
+    return rescale.grid_pullback_evaluator(grid, rescale.IntervalMap(*domain))
 
 
 def _write_report(report, path):
@@ -156,11 +152,10 @@ def cmd_spectrum(args) -> int:
         entry = catalog.make(args.catalog, **_catalog_params(args))
         seq = entry.coefficients(args.n)
     else:
-        # Interval data is periodized for integration; its seam jump
-        # sits on a node, which the interpolant already pins.
+        # Interval data is periodized: its seam jump becomes one more
+        # piece of the interpolant.
         grid, _ = formats.read_grid(args.input)
-        ev = grid_evaluator(grid)
-        seq = compute_coefficients(ev, n=args.n, tol=args.tol)
+        seq = grid_coefficients(grid.values, args.n)
     doc = formats.coefficients_to_doc(seq)
     if args.output:
         formats.save_json(args.output, doc)
@@ -205,8 +200,9 @@ def cmd_classify(args) -> int:
             formats.load_coefficients(args.input))
         _write_report(classify.certificate_report(cert), args.output)
         return 0
-    ev, grid, _ = _load_grid_evaluator(args.input)
-    report = classify.classify_pointwise(ev, n_grid=grid.n,
+    grid, domain = formats.read_grid(args.input)
+    report = classify.classify_pointwise(_grid_interpolant(grid, domain),
+                                         n_grid=grid.n,
                                          eps_schedule=args.eps_schedule,
                                          tol=args.tol)
     _write_report(report, args.output)
@@ -221,35 +217,38 @@ def _deltas_from_rhos(rhos) -> tuple:
 
 
 def cmd_comb(args) -> int:
-    from_json = _is_json(args.input)
-    if from_json:
-        seq = formats.load_coefficients(args.input)
-        ev, grid = None, None
+    if args.n < 1:
+        raise DomainError(f"--n must be >= 1, got {args.n}")
+    if _is_json(args.input):
+        seq, grid, domain = formats.load_coefficients(args.input), None, None
     else:
-        ev, grid, _ = _load_grid_evaluator(args.input)
         seq = None
+        grid, domain = formats.read_grid(args.input)
     n_grid = args.grid if args.grid is not None else \
         (grid.n if grid is not None else 256)
     if n_grid < 2:
         raise DomainError(f"--grid must be >= 2, got {n_grid}")
+    if seq is None and args.method != "filter-limit":
+        if domain is not None:
+            raise NonIntegrableInput("interval data has no Fourier series: "
+                                     "its seam at theta=-pi is not "
+                                     "integrable")
+        seq = grid_coefficients(grid.values, args.n)
 
     if args.method == "filter-limit":
-        if ev is None:
+        if grid is None:
             raise DomainError("filter-limit combing needs grid input")
-        out = classify.comb_by_filter_limit(ev, n_grid,
+        out = classify.comb_by_filter_limit(_grid_interpolant(grid, domain),
+                                            n_grid,
                                             eps_schedule=args.eps_schedule)
     elif args.method == "fourier":
-        if seq is None:
-            result = classify.comb_by_fourier(ev, n=args.n, n_grid=n_grid,
-                                              coeff_tol=args.tol)
-        else:
-            result = classify.comb_from_coefficients(seq, n_grid)
+        result = classify.comb_from_coefficients(
+            seq, n_grid, singular_points=None if grid is None
+            else grid.singular_points)
         out = result.grid
         if result.non_convergent:
             out = replace(out, note=out.note + " NonConvergent")
     else:
-        if seq is None:
-            seq = compute_coefficients(ev, n=args.n, tol=args.tol)
         deltas = DEFAULT_DELTA_SCHEDULE if args.rho_schedule is None \
             else _deltas_from_rhos(args.rho_schedule)
         out = classify.comb_by_disk(seq, n_grid, delta_schedule=deltas)

@@ -21,6 +21,9 @@ from .spectrum import CoefficientSequence, grid_nodes
 
 _GRID_HEADER = "theta,value,defined"
 
+# The Python types json.loads gives JSON numbers; bool is not among them.
+_NUMBER = (int, float)
+
 
 def _fmt(x: float) -> str:
     x = float(x)
@@ -103,29 +106,41 @@ def coefficients_to_doc(seq: CoefficientSequence) -> dict:
 
 
 def coefficients_from_doc(doc) -> CoefficientSequence:
+    """Read a coefficient document strictly: `n` and every `k` are JSON
+    integers, `a0`, `a` and `b` JSON numbers; strings, booleans and
+    integers beyond the float range are refused with DomainError."""
     if not isinstance(doc, dict):
         raise DomainError("coefficient document must be a JSON object")
     try:
-        a0 = float(doc["a0"])
-        n = int(doc["n"])
-        terms = doc["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed coefficient document: {exc}") from None
+        a0, n, terms = doc["a0"], doc["n"], doc["terms"]
+    except KeyError as exc:
+        raise DomainError(f"malformed coefficient document: missing "
+                          f"{exc}") from None
+    if type(n) is not int or type(a0) not in _NUMBER:
+        raise DomainError("malformed coefficient document: n must be an "
+                          "integer and a0 a number")
     if not isinstance(terms, list) or len(terms) != n:
         raise DomainError(f"expected {n} terms, found "
                           f"{len(terms) if isinstance(terms, list) else 'none'}")
     a = np.empty(n)
     b = np.empty(n)
-    for i, term in enumerate(terms):
-        try:
-            k = int(term["k"])
-            a[i] = float(term["a"])
-            b[i] = float(term["b"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed term {i}: {exc}") from None
-        if k != i + 1:
-            raise DomainError(f"terms must be dense over k = 1..{n}; "
-                              f"term {i} has k={k}")
+    try:
+        a0 = float(a0)
+        for i, term in enumerate(terms):
+            try:
+                k, ak, bk = term["k"], term["a"], term["b"]
+            except (KeyError, TypeError) as exc:
+                raise DomainError(f"malformed term {i}: {exc}") from None
+            if type(k) is not int or type(ak) not in _NUMBER \
+                    or type(bk) not in _NUMBER:
+                raise DomainError(f"malformed term {i}: k must be an "
+                                  "integer, a and b numbers")
+            if k != i + 1:
+                raise DomainError(f"terms must be dense over k = 1..{n}; "
+                                  f"term {i} has k={k}")
+            a[i], b[i] = ak, bk
+    except OverflowError:       # an integer beyond the float range
+        raise DomainError("coefficients must be finite") from None
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
             and math.isfinite(a0)):
         raise DomainError("coefficients must be finite")
@@ -174,8 +189,7 @@ def write_grid(path, grid: GridFunction, domain=None):
 def _finite_list(raw, what):
     """A JSON list of finite numbers as a tuple of floats."""
     try:
-        if isinstance(raw, list) and all(type(x) in (int, float)
-                                         for x in raw):
+        if isinstance(raw, list) and all(type(x) in _NUMBER for x in raw):
             vals = tuple(float(x) for x in raw)
             if all(math.isfinite(v) for v in vals):
                 return vals

@@ -4,9 +4,10 @@ The basic operation replaces f(theta) by its average over the arc
 [theta - eps, theta + eps] with half-width eps in (0, pi].  It comes in
 three interchangeable forms: direct quadrature against a pointwise
 evaluator, a diagonal multiplier sin(k eps)/(k eps) on coefficient
-sequences, and a circular stencil on uniform grids.  Shrinking-window
-limits with polynomial extrapolation recover pointwise values where the
-function is tame and expose defects where it is not.
+sequences, and the closed-form average of the piecewise-linear
+interpolant on uniform grids.  Shrinking-window limits with polynomial
+extrapolation recover pointwise values where the function is tame and
+expose defects where it is not.
 """
 
 from __future__ import annotations
@@ -138,52 +139,61 @@ def multiplier_filter(seq: CoefficientSequence, eps: float) -> CoefficientSequen
                                quadrature_error=seq.quadrature_error)
 
 
-def _stencil(q: float):
-    """Trapezoid weights for a window of q grid cells on each side.
-
-    The window endpoints fall r cells past node +-m (q = m + r); the
-    fractional end cells use linearly interpolated endpoint values,
-    which spreads weight r*r/2 onto nodes +-(m+1).
-    """
-    m = int(math.floor(q))
-    r = q - m
-    if m == 0:
-        offsets = np.array([-1, 0, 1])
-        weights = np.array([r * r / 2.0, r * (2.0 - r), r * r / 2.0])
-    else:
-        offsets = np.arange(-(m + 1), m + 2)
-        weights = np.ones(2 * m + 3)
-        weights[[0, -1]] = r * r / 2.0
-        weights[[1, -2]] = 0.5 + r * (2.0 - r) / 2.0
-    return offsets, weights / weights.sum()
-
-
 def kernel_filter_grid(grid: GridFunction, eps: float) -> GridFunction:
-    """Window average of grid data by a circular stencil.
+    """Exact window average of the grid's piecewise-linear interpolant.
 
-    Output nodes are undefined wherever the window touches an undefined
-    input node.  The window must span at least one grid cell.
+    With q = eps / h in index units, the average at node i is
+    (F(i + q) - F(i - q)) / (2 q), F the interpolant's piecewise-quadratic
+    antiderivative: a prefix sum of trapezoids over v - mean(v), extended
+    floor(q) + 1 nodes past each end so that no window wraps.  Taking out
+    the mean keeps data with a large offset precise.  A running sum of K
+    terms errs by up to (K - 1) u sum|terms| (Higham 2002, sec. 4.2),
+    which a difference of two prefixes inherits, so the sum is
+    compensated (sec. 4.3): the average errs by a few u times the mean
+    of |v - mean(v)| over the window, for any grid size.
+
+    Output nodes are undefined wherever an undefined input node lies
+    within floor(q) + 1 of them.  The window must span at least one
+    grid cell.
     """
     if not (0.0 < eps <= math.pi):
         raise DomainError(f"window half-width {eps} outside (0, pi]")
-    h = TWO_PI / grid.n
+    n = grid.n
+    h = TWO_PI / n
     if eps < h:
         raise EpsilonBelowResolution(
             f"half-width {eps} below the grid spacing {h:.6g}; "
             "the window would see no neighbouring node")
 
-    offsets, weights = _stencil(eps / h)
-    vals = np.where(grid.defined, grid.values, 0.0)
-    out = np.zeros(grid.n)
-    touched_bad = np.zeros(grid.n, dtype=bool)
-    undef = ~grid.defined
-    for j, wj in zip(offsets, weights):
-        shifted = np.roll(vals, -j)
-        out += wj * shifted
-        touched_bad |= np.roll(undef, -j)
+    q = eps / h
+    m = int(math.floor(q))
+    r = q - m
+    # Position p of the extended arrays holds node (p - m - 1) mod n, so
+    # lo and hi hold nodes i - m and i + m, and positions lo - 1 .. hi + 1
+    # the nodes within m + 1 of node i.
+    ext = np.arange(-m - 1, n + m + 1)
+    lo, hi = np.arange(n) + 1, np.arange(n) + 2 * m + 1
+    bad_count = np.concatenate(
+        ([0], np.cumsum(np.take(~grid.defined, ext, mode="wrap"))))
+    bad = bad_count[hi + 2] > bad_count[lo - 1]
 
-    return GridFunction(values=np.where(touched_bad, np.nan, out),
-                        defined=~touched_bad,
+    v = np.where(grid.defined, grid.values, 0.0)
+    mean = np.mean(v)
+    w = np.take(v - mean, ext, mode="wrap")
+    cells = 0.5 * (w[:-1] + w[1:])
+    F = np.concatenate(([0.0], np.cumsum(cells)))
+    # The exact rounding error of every step of the running sum, by
+    # TwoSum, summed apart: F + E is the prefix to O(u^2).
+    step = F[1:] - F[:-1]
+    E = np.concatenate(([0.0], np.cumsum((F[:-1] - (F[1:] - step))
+                                         + (cells - step))))
+    # F(i + q) - F(i - q): whole cells lo..hi plus the two end pieces.
+    span = (F[hi] - F[lo]) + (E[hi] - E[lo]) + r * (w[hi] + w[lo]) \
+        + 0.5 * r * r * (w[hi + 1] - w[hi] - w[lo] + w[lo - 1])
+    out = mean + span / (2.0 * q)
+
+    return GridFunction(values=np.where(bad, np.nan, out),
+                        defined=~bad,
                         singular_points=grid.singular_points,
                         note=f"filtered(eps={eps:.17g}) {grid.note}".strip())
 

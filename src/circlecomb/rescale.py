@@ -147,9 +147,9 @@ def mask_boundary_windows(grid: GridFunction, eps: float) -> GridFunction:
     """Undefine filtered nodes whose window reached across the seam.
 
     The circular grid filter wraps around; on interval data wrapping
-    means blending the two ends, so every node whose stencil (window
-    plus one interpolation cell on each side) touches the seam loses
-    its value.
+    means blending the two ends, so every node whose window, widened by
+    the interpolation cell it reads on each side, touches the seam
+    loses its value.
     """
     h = TWO_PI / grid.n
     thetas = grid.thetas()

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _quad
-from .errors import DomainError, NonIntegrableInput
+from .errors import DomainError, NonIntegrableInput, UndefinedHere
 
 TWO_PI = 2.0 * math.pi
 
@@ -276,6 +276,29 @@ def partial_sum_grid(seq, n_nodes, m=None):
         acc += powers.T @ c[k0:k0 + size]
         p_start = powers[-1] * z
     return seq.a0 + acc.real
+
+
+def grid_coefficients(values, n=DEFAULT_N):
+    """Exact coefficients of the periodic piecewise-linear interpolant.
+
+    `values` sit at grid_nodes(N).  The interpolant is a sum of hat
+    functions of width h = 2 pi / N, each transforming to h sinc^2(k h/2)
+    times the phase of its node, so a0 = mean(v) and
+
+        c_k = (2/N) FFT(v)[k mod N] (-1)^k sinc^2(k h/2),  k = 1..n,
+
+    with n > N reading the aliased bins.  UndefinedHere if any value is
+    not finite: the interpolant has no value next to such a node.
+    """
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise UndefinedHere(
+            f"{int(np.sum(~np.isfinite(v)))} of {v.size} grid nodes have "
+            "no value, so the interpolant has no coefficients")
+    k = np.arange(1, n + 1)
+    c = (2.0 / v.size) * np.fft.fft(v)[k % v.size] \
+        * np.where(k % 2, -1.0, 1.0) * sinc(k * math.pi / v.size) ** 2
+    return CoefficientSequence(a0=np.mean(v), a=c.real, b=-c.imag)
 
 
 def angular_derivative(seq, order=1):

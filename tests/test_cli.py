@@ -9,6 +9,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import circlecomb._quad
+from circlecomb import cli
 from circlecomb.catalog import make
 from circlecomb.formats import (
     load_coefficients,
@@ -344,3 +346,98 @@ class TestExitCodes:
         assert len(p.stderr.splitlines()) == 1
         assert "g.csv.json" in p.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    @pytest.mark.parametrize("method", ["fourier", "disk"])
+    def test_comb_refuses_truncation_orders_below_one(self, tmp_path,
+                                                       capsys, method, n):
+        path = tmp_path / "g.csv"
+        write_grid(path, GridFunction(np.cos(grid_nodes(16)),
+                                      np.ones(16, bool)))
+        out = tmp_path / "out.csv"
+        assert cli.main(["comb", "--input", str(path), "--method", method,
+                         "--n", n, "--output", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        '{"a0": "1.5", "n": 1, "terms": [{"k": 1, "a": 0, "b": 0}]}',
+        '{"a0": 0, "n": 1, "terms": [{"k": 1, "a": "2", "b": 0}]}',
+        '{"a0": 0, "n": true, "terms": [{"k": 1, "a": 0, "b": 0}]}',
+        '{"a0": 0, "n": 1, "terms": [{"k": true, "a": 0, "b": 0}]}',
+        '{"a0": 0, "n": 1.9, "terms": [{"k": 1, "a": 0, "b": 0}]}',
+        '{"a0": 0, "n": 1, "terms": [{"k": 1, "a": false, "b": 0}]}',
+        '{"a0": 0, "n": 1, "terms": [{"k": 1, "a": 1' + '0' * 400 + ', '
+        '"b": 0}]}',
+    ], ids=["a0-string", "a-string", "n-bool", "k-bool", "n-fraction",
+            "a-bool", "a-beyond-float"])
+    def test_loosely_typed_coefficient_json_exits_2(self, tmp_path, capsys,
+                                                     doc):
+        path = tmp_path / "seq.json"
+        path.write_text(doc)
+        out = tmp_path / "ring.csv"
+        assert cli.main(["eval", "--input", str(path), "--rho", "0.5",
+                         "--output", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+
+class TestGridRoutesRunNoQuadrature:
+    """Grid data is handled in closed form: its interpolant's
+    coefficients and window averages never reach panel quadrature."""
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("panel quadrature ran on a grid route")
+        monkeypatch.setattr(circlecomb._quad, "refine", refuse)
+
+    @pytest.fixture
+    def grids(self, tmp_path):
+        th = grid_nodes(64)
+        plain = tmp_path / "plain.csv"
+        write_grid(plain, GridFunction(np.sign(th), np.ones(64, bool),
+                                       singular_points=(0.0, -math.pi)))
+        tagged = tmp_path / "tagged.csv"
+        write_grid(tagged, GridFunction(np.cos(th), np.ones(64, bool)),
+                   domain=(0.0, 10.0))
+        defined = np.ones(64, bool)
+        defined[10] = False
+        holey = tmp_path / "holey.csv"
+        write_grid(holey, GridFunction(np.where(defined, np.cos(th), np.nan),
+                                       defined))
+        return {"plain": plain, "tagged": tagged, "holey": holey,
+                "out": tmp_path / "out.csv"}
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--input", "{plain}", "--n", "100", "--output",
+         "{out}"],
+        ["spectrum", "--input", "{tagged}", "--output", "{out}"],
+        ["filter", "--input", "{plain}", "--eps", "0.3", "--output",
+         "{out}"],
+        ["filter", "--input", "{tagged}", "--eps", "0.3", "--output",
+         "{out}"],
+        ["comb", "--input", "{plain}", "--method", "fourier", "--output",
+         "{out}"],
+        ["comb", "--input", "{plain}", "--method", "disk", "--n", "64",
+         "--rho-schedule", "0.6,0.65,0.7", "--output", "{out}"],
+    ], ids=["spectrum", "spectrum-tagged", "filter", "filter-tagged",
+            "comb-fourier", "comb-disk"])
+    def test_grid_routes_succeed_without_quadrature(self, grids, argv):
+        assert cli.main([a.format(**grids) for a in argv]) == 0
+        assert grids["out"].exists()
+
+    @pytest.mark.parametrize("method", ["fourier", "disk"])
+    def test_interval_grids_have_no_series(self, grids, capsys, method):
+        assert cli.main(["comb", "--input", str(grids["tagged"]),
+                         "--method", method,
+                         "--output", str(grids["out"])]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not grids["out"].exists()
+
+    def test_grids_with_holes_have_no_series(self, grids, capsys):
+        assert cli.main(["comb", "--input", str(grids["holey"]),
+                         "--method", "fourier",
+                         "--output", str(grids["out"])]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not grids["out"].exists()

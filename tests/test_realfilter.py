@@ -155,6 +155,53 @@ def test_grid_filter_spreads_undefined_nodes():
     assert list(bad) == [3, 4, 5, 6, 7]
 
 
+@pytest.mark.parametrize("q", [2.5, 2.0])
+def test_grid_filter_mask_reaches_floor_q_plus_one_nodes(q):
+    # At integer q the outermost nodes carry no weight but still count.
+    n = 32
+    defined = np.ones(n, bool)
+    holes = np.array([5, 6, 20])
+    defined[holes] = False
+    g = GridFunction(values=np.where(defined, 1.0, np.nan), defined=defined)
+    out = kernel_filter_grid(g, q * 2 * PI / n)
+    i = np.arange(n)[:, None]
+    gap = np.abs(i - holes[None, :])
+    near = np.minimum(gap, n - gap).min(axis=1) <= math.floor(q) + 1
+    assert np.array_equal(out.defined, ~near)
+    assert np.all(out.values[out.defined] == pytest.approx(1.0, abs=1e-15))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("q", [1.5, 7.25, 40.5, 300.5])
+def test_grid_filter_keeps_full_precision_on_large_grids(q, offset):
+    # Away from its two jumps the average of a +-1.1 square wave is the
+    # wave itself.  The running sum under it reaches 3.6e4, whose
+    # uncompensated rounding alone would cost ~1e-12; without the mean
+    # taken out, the offset would cost two of its ulps.
+    n = 2 ** 16
+    i = np.arange(n)
+    v = offset + np.where(i < n // 2, 1.1, -1.1)
+    out = kernel_filter_grid(GridFunction(v, np.ones(n, bool)),
+                             q * 2 * PI / n).values
+    far = np.minimum(np.abs(i - n // 2), np.minimum(i, n - i)) > q + 1
+    bound = 4 * np.finfo(float).eps * 1.1 + np.spacing(offset + 1.1)
+    assert np.max(np.abs(out[far] - v[far])) <= bound
+
+
+@pytest.mark.parametrize("n_nodes", [16, 128, 384])
+def test_grid_filter_matches_interpolant_quadrature(rng, n_nodes):
+    v = 3.0 * rng.standard_normal(n_nodes) + rng.uniform(-5.0, 5.0)
+    g = GridFunction(values=v, defined=np.ones(n_nodes, bool))
+    f = grid_evaluator(g)
+    h = 2 * PI / n_nodes
+    bound = 1e-12 * (1.0 + np.max(np.abs(v)))
+    # Fractional widths across [1, N/2] cells, and the whole circle.
+    for eps in [*(rng.uniform(1.0, n_nodes / 2, 3) * h), PI]:
+        got = kernel_filter_grid(g, eps).values
+        ref = np.array([kernel_filter_eval(f, t, eps) for t in g.thetas()])
+        assert np.max(np.abs(got - ref)) <= bound, eps
+
+
 def test_grid_filter_keeps_declarations_and_notes():
     g = GridFunction(values=np.zeros(8), defined=np.ones(8, bool),
                      singular_points=(0.25,), note="raw")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from circlecomb.errors import DomainError, NonIntegrableInput
+from circlecomb.errors import DomainError, NonIntegrableInput, UndefinedHere
+from circlecomb.realfilter import GridFunction, grid_evaluator
 from circlecomb.spectrum import (
     CoefficientSequence,
     EvaluatorFunction,
@@ -16,6 +17,7 @@ from circlecomb.spectrum import (
     compute_coefficients,
     fourier_conjugate,
     from_complex,
+    grid_coefficients,
     grid_nodes,
     linear_combination,
     partial_sum_eval,
@@ -195,6 +197,28 @@ def test_partial_sum_grid_matches_pointwise_route(rng):
     assert fast == pytest.approx(slow, abs=1e-12)
     part = partial_sum_grid(seq, 16, m=7)
     assert part == pytest.approx(partial_sum_eval(seq, nodes, m=7), abs=1e-12)
+
+
+@pytest.mark.parametrize("n_nodes, n", [(16, 40), (128, 200), (384, 96)])
+def test_grid_coefficients_match_the_interpolant_quadrature(rng, n_nodes, n):
+    # n > N reads aliased FFT bins; the quadrature of the interpolant
+    # (pinned at every node) is the independent reference.
+    v = 3.0 * rng.standard_normal(n_nodes) + rng.uniform(-5.0, 5.0)
+    ref = compute_coefficients(
+        grid_evaluator(GridFunction(v, np.ones(n_nodes, bool))), n=n)
+    got = grid_coefficients(v, n)
+    bound = 1e-12 * (1.0 + np.max(np.abs(v)))
+    assert got.n == n
+    assert abs(got.a0 - ref.a0) <= bound
+    assert np.max(np.abs(got.a - ref.a)) <= bound
+    assert np.max(np.abs(got.b - ref.b)) <= bound
+
+
+def test_grid_coefficients_refuse_undefined_nodes():
+    v = np.cos(grid_nodes(16))
+    v[3] = np.nan
+    with pytest.raises(UndefinedHere):
+        grid_coefficients(v, 8)
 
 
 # -------------------------------------------------------------- operators
