@@ -35,6 +35,15 @@ _NUMERIC_ERRORS = (QuadratureFailure, NonIntegrableInput, NoConvergence,
 _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
                   "base", "point", "value")
 
+# Largest --n and --grid accepted; larger ones are refused before
+# anything is allocated.  Memory is linear in both, and the costliest
+# is a coefficient JSON: `spectrum --catalog --n 131072` peaks at
+# 127 MB, about 0.75 KB per term above the 31 MB import floor (a grid
+# node costs about a third of that).  So 2^20 keeps a job under about
+# 1 GB and leaves 8x headroom above the largest sizes in use (131072
+# nodes, 32768 harmonics).
+_MAX_SIZE = 1 << 20
+
 
 def _float_list(text: str):
     try:
@@ -118,6 +127,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_size(flag, value, least):
+    if not least <= value <= _MAX_SIZE:
+        raise DomainError(f"{flag} must lie in [{least}, {_MAX_SIZE}], "
+                          f"got {value}")
+
+
 def _catalog_params(args) -> dict:
     return {key: getattr(args, key) for key in _CATALOG_FLAGS
             if getattr(args, key, None) is not None}
@@ -146,8 +161,7 @@ def cmd_spectrum(args) -> int:
     if (args.catalog is None) == (args.input is None):
         raise DomainError("spectrum needs exactly one of --catalog "
                           "and --input")
-    if args.n < 1:
-        raise DomainError(f"--n must be >= 1, got {args.n}")
+    _check_size("--n", args.n, 1)
     if args.catalog is not None:
         entry = catalog.make(args.catalog, **_catalog_params(args))
         seq = entry.coefficients(args.n)
@@ -188,10 +202,12 @@ def cmd_filter(args) -> int:
 
 
 def _domain_pair(vals):
+    """--domain a,b under IntervalMap's rule: finite, b > a."""
     if len(vals) != 2:
         raise DomainError(f"--domain needs exactly a,b, got {len(vals)} "
                           "numbers")
-    return (vals[0], vals[1])
+    chart = rescale.IntervalMap(*vals)
+    return (chart.a, chart.b)
 
 
 def cmd_classify(args) -> int:
@@ -217,8 +233,9 @@ def _deltas_from_rhos(rhos) -> tuple:
 
 
 def cmd_comb(args) -> int:
-    if args.n < 1:
-        raise DomainError(f"--n must be >= 1, got {args.n}")
+    _check_size("--n", args.n, 1)
+    if args.grid is not None:
+        _check_size("--grid", args.grid, 2)
     if _is_json(args.input):
         seq, grid, domain = formats.load_coefficients(args.input), None, None
     else:
@@ -226,8 +243,6 @@ def cmd_comb(args) -> int:
         grid, domain = formats.read_grid(args.input)
     n_grid = args.grid if args.grid is not None else \
         (grid.n if grid is not None else 256)
-    if n_grid < 2:
-        raise DomainError(f"--grid must be >= 2, got {n_grid}")
     if seq is None and args.method != "filter-limit":
         if domain is not None:
             raise NonIntegrableInput("interval data has no Fourier series: "
@@ -260,8 +275,8 @@ def cmd_eval(args) -> int:
     if (args.rho is None) == (args.rho_schedule is None):
         raise DomainError("eval needs exactly one of --rho and "
                           "--rho-schedule")
-    if args.grid < 2:
-        raise DomainError(f"--grid must be >= 2, got {args.grid}")
+    _check_size("--grid", args.grid, 2)
+    domain = _domain_pair(args.domain) if args.domain is not None else None
     seq = formats.load_coefficients(args.input)
     thetas = grid_nodes(args.grid)
     if args.rho is not None:
@@ -274,7 +289,6 @@ def cmd_eval(args) -> int:
         values, _, defined = boundary_value_grid(seq, thetas, deltas)
         note = "boundary values by radial extrapolation"
     out = GridFunction(values=values, defined=defined, note=note)
-    domain = _domain_pair(args.domain) if args.domain is not None else None
     formats.write_grid(args.output, out, domain=domain)
     return 0
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._extrap import neville_to_zero
 from .errors import DivergenceDetected, DomainError, OutOfDomain
-from .spectrum import CoefficientSequence, sinc
+from .spectrum import CoefficientSequence, horner, sinc
 
 DEFAULT_DELTA_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
@@ -113,14 +113,6 @@ def log_primitive(w: InnerAnalyticFunction) -> InnerAnalyticFunction:
     return InnerAnalyticFunction(w.c, w.log_power - 1)
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Evaluate sum coeffs[k-1] z^k via Horner; no constant term."""
-    acc = np.zeros_like(z)
-    for ck in coeffs[::-1]:
-        acc = (acc + ck) * z
-    return acc
-
-
 def _tail_check(w: InnerAnalyticFunction, rho: float):
     if w.n < _TAIL_MIN_N or rho == 0.0:
         return
@@ -150,7 +142,7 @@ def evaluate(w: InnerAnalyticFunction, point) -> complex:
         if abs(z) >= 1.0:
             raise OutOfDomain(f"|z| = {abs(z)} is not strictly inside "
                               "the disk")
-    return complex(_horner(w.materialize(), np.asarray(z, dtype=complex)))
+    return complex(horner(w.materialize(), z))
 
 
 def eval_ring(w: InnerAnalyticFunction, rho: float, thetas) -> np.ndarray:
@@ -159,7 +151,7 @@ def eval_ring(w: InnerAnalyticFunction, rho: float, thetas) -> np.ndarray:
         raise OutOfDomain(f"ring radius {rho} is not strictly inside the disk")
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     z = rho * np.exp(1j * th)
-    return _horner(w.materialize(), z)
+    return horner(w.materialize(), z)
 
 
 def complex_filter(w: InnerAnalyticFunction, eps: float) -> InnerAnalyticFunction:
@@ -193,8 +185,7 @@ def arc_filter_eval(w: InnerAnalyticFunction, theta: float, eps: float,
     coeffs = log_primitive(w).materialize()
     z_hi = rho * np.exp(1j * (theta + eps))
     z_lo = rho * np.exp(1j * (theta - eps))
-    diff = _horner(coeffs, np.asarray(z_hi, dtype=complex)) \
-        - _horner(coeffs, np.asarray(z_lo, dtype=complex))
+    diff = horner(coeffs, z_hi) - horner(coeffs, z_lo)
     return complex(-0.5j / eps * diff)
 
 

@@ -243,8 +243,9 @@ def read_grid(path):
         note = str(meta.get("note", ""))
         if "domain" in meta:
             domain = _finite_list(meta["domain"], f"{side}: domain [a, b]")
-            if len(domain) != 2:
-                raise DomainError(f"{side}: domain must be [a, b]")
+            if len(domain) != 2 or not domain[0] < domain[1]:
+                raise DomainError(f"{side}: domain must be [a, b] with "
+                                  "b > a")
     grid = GridFunction(values=values, defined=defined,
                         singular_points=singulars, note=note)
     return grid, domain

@@ -253,29 +253,31 @@ def grid_nodes(n_nodes):
     return ((2 * i - n) / n) * math.pi
 
 
-def partial_sum_grid(seq, n_nodes, m=None):
-    """Partial sums on a uniform grid, by recursive powers of e^{i theta}.
+def horner(coeffs, z):
+    """sum coeffs[k-1] z^k, k = 1..n, by Horner's rule; no constant term.
 
-    Equivalent to partial_sum_eval at grid_nodes(n_nodes) but linear in
-    memory and fast for very large truncation orders.
+    The package's one power-series kernel, in memory the size of `z`.
+    Its error is a multiple of ulp * sum k |c_k| (Higham 2002, ch. 5).
+    """
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(z)
+    for ck in coeffs[::-1]:
+        acc += ck
+        acc *= z
+    return acc
+
+
+def partial_sum_grid(seq, n_nodes, m=None):
+    """Partial sums on a uniform grid, by Horner's rule in e^{i theta}.
+
+    Equivalent to partial_sum_eval at grid_nodes(n_nodes), in memory
+    linear in the grid size and the order.
     """
     m = seq.n if m is None else int(m)
     if not 0 <= m <= seq.n:
         raise DomainError(f"partial sum order {m} outside [0, {seq.n}]")
-    theta = grid_nodes(n_nodes)
-    z = np.exp(1j * theta)
-    acc = np.zeros(theta.size, dtype=complex)
-    c = seq.complex_view()
-    p_start = z.copy()
-    for k0 in range(0, m, _CHUNK):
-        size = min(_CHUNK, m - k0)
-        powers = np.ones((size, theta.size), dtype=complex)
-        powers[1:] = z
-        np.cumprod(powers, axis=0, out=powers)
-        powers *= p_start
-        acc += powers.T @ c[k0:k0 + size]
-        p_start = powers[-1] * z
-    return seq.a0 + acc.real
+    z = np.exp(1j * grid_nodes(n_nodes))
+    return seq.a0 + horner(seq.complex_view()[:m], z).real
 
 
 def grid_coefficients(values, n=DEFAULT_N):

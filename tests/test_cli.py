@@ -360,6 +360,51 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--input", "{seq}", "--rho", "0.5", "--grid", "{big}"],
+        ["comb", "--input", "{seq}", "--method", "fourier",
+         "--grid", "{big}"],
+        ["comb", "--input", "{grid}", "--method", "fourier", "--n", "{big}"],
+        ["spectrum", "--catalog", "cosine", "--n", "{big}"],
+    ], ids=["eval-grid", "comb-grid", "comb-n", "spectrum-n"])
+    def test_oversized_grids_and_orders_exit_2_before_any_work(
+            self, workdir, tmp_path, capsys, argv):
+        # One past the limit, so nothing large is ever allocated.
+        out = tmp_path / "out"
+        fill = {"seq": workdir / "cosseq.json", "grid": workdir / "cos256.csv",
+                "big": (1 << 20) + 1}
+        assert cli.main([a.format(**fill) for a in argv]
+                        + ["--output", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("domain", ["5,1", "nan,1", "0,inf"])
+    def test_eval_refuses_bad_domains_and_writes_nothing(
+            self, workdir, tmp_path, capsys, domain):
+        out = tmp_path / "ring.csv"
+        assert cli.main(["eval", "--input", str(workdir / "cosseq.json"),
+                         "--rho", "0.5", "--grid", "16", "--domain", domain,
+                         "--output", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+        assert not (tmp_path / "ring.csv.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["comb", "--method", "fourier"],
+        ["spectrum"],
+    ], ids=["comb-fourier", "spectrum"])
+    def test_reversed_sidecar_domain_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "g.csv"
+        write_grid(path, GridFunction(np.cos(grid_nodes(16)),
+                                      np.ones(16, bool)))
+        (tmp_path / "g.csv.json").write_text('{"domain": [5, 1]}')
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--input", str(path),
+                         "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "g.csv.json" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", [
         '{"a0": "1.5", "n": 1, "terms": [{"k": 1, "a": 0, "b": 0}]}',
         '{"a0": 0, "n": 1, "terms": [{"k": 1, "a": "2", "b": 0}]}',

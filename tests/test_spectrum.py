@@ -1,6 +1,7 @@
 """Coefficient sequences: projection, partial sums, exact operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,15 +189,35 @@ def test_grid_nodes_hit_exact_floats():
     assert np.array_equal(nodes, np.array([-PI, -PI / 2, 0.0, PI / 2]))
 
 
-def test_partial_sum_grid_matches_pointwise_route(rng):
-    a0, a, b, _ = random_trig_poly(rng, 40)
+@pytest.mark.parametrize("n_nodes, n", [(16, 40), (64, 4096), (4096, 8)])
+def test_partial_sum_grid_matches_pointwise_route(rng, n_nodes, n):
+    # n >> N wraps harmonics around the grid, N >> n puts few terms on
+    # many nodes.  Those two are held to Horner's running error bound,
+    # 16 ulp * (|a0| + sum_k k |c_k|).
+    a0, a, b, _ = random_trig_poly(rng, n)
     seq = _sequence(a0, a, b)
-    nodes = grid_nodes(16)
-    fast = partial_sum_grid(seq, 16)
+    tol = 1e-12 if (n_nodes, n) == (16, 40) else 16 * np.finfo(float).eps \
+        * (abs(a0) + np.sum(seq.k_values() * np.abs(seq.complex_view())))
+    nodes = grid_nodes(n_nodes)
+    fast = partial_sum_grid(seq, n_nodes)
     slow = partial_sum_eval(seq, nodes)
-    assert fast == pytest.approx(slow, abs=1e-12)
-    part = partial_sum_grid(seq, 16, m=7)
-    assert part == pytest.approx(partial_sum_eval(seq, nodes, m=7), abs=1e-12)
+    assert fast == pytest.approx(slow, abs=tol)
+    part = partial_sum_grid(seq, n_nodes, m=7)
+    assert part == pytest.approx(partial_sum_eval(seq, nodes, m=7), abs=tol)
+
+
+def test_partial_sum_grid_memory_is_linear(rng):
+    # 8192 harmonics on 1024 nodes: an (n x N) power matrix would take
+    # 128 MB; the coefficients and a few grid-sized arrays take 0.4 MB.
+    a0, a, b, _ = random_trig_poly(rng, 8192)
+    seq = _sequence(a0, a, b)
+    tracemalloc.start()
+    try:
+        partial_sum_grid(seq, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
 
 
 @pytest.mark.parametrize("n_nodes, n", [(16, 40), (128, 200), (384, 96)])
