@@ -1,10 +1,19 @@
 """Deterministic on-disk formats: coefficient JSON, grid CSV, reports.
 
-All floats are written with 17 significant digits, enough to round-trip
-IEEE doubles exactly, and dictionary keys keep a fixed order, so the
-same data always produces byte-identical files.  The stdlib json dumper
-is avoided on the write side only because its float repr is
-shortest-roundtrip rather than fixed-width; reading uses json.loads.
+Every float is written as `%.17g`, enough to round-trip IEEE doubles
+exactly, and dictionary keys keep their insertion order, so the same
+data always produces byte-identical files.  JSON is written by this
+module's own writer, since the stdlib dumper writes shortest-roundtrip
+floats.  Both formats are written column-wise: a grid CSV and a list of
+flat records sharing their keys (coefficient terms, report nodes) each
+take one `%`-format over a flat tuple of cells.
+
+Reads are strict; a malformed file raises `DomainError` naming it.
+Files must be UTF-8.  A grid CSV is the header `theta,value,defined`
+and at least 2 rows of two decimal numbers and an integer (the grammar
+of `np.loadtxt`: no digit separators, no quotes, no comments; empty
+lines are skipped).  `defined` is exactly 0 or 1, the thetas are the
+nodes of `grid_nodes` to 1e-9, and every defined value is finite.
 """
 
 from __future__ import annotations
@@ -12,6 +21,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -20,18 +31,62 @@ from .realfilter import GridFunction
 from .spectrum import CoefficientSequence, grid_nodes
 
 _GRID_HEADER = "theta,value,defined"
+_GRID_ROW = "%.17g,%.17g,%d\n"
+# One parsed CSV row.  The integer field makes the parser itself refuse
+# "1.0" or "1e0" as a `defined` flag.
+_GRID_FIELDS = np.dtype([("theta", float), ("value", float),
+                         ("defined", np.int64)])
 
 # The Python types json.loads gives JSON numbers; bool is not among them.
 _NUMBER = (int, float)
 
 
-def _fmt(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
+def _check_json_floats(values):
+    """Refuse NaN and inf in floats bound for JSON."""
+    x = np.array(values, dtype=float)
+    if np.isnan(x).any():
+        raise DomainError("cannot serialize NaN inside JSON; "
+                          "use null for missing values")
+    if not np.isfinite(x).all():
         raise DomainError("cannot serialize an infinite number")
-    return format(x, ".17g")
+
+
+def _record_column(cells):
+    """A column of a record table as (format, cells), or None when it holds
+    anything but ints, strings, or floats with or without nulls."""
+    kinds = set(map(type, cells))
+    if kinds == {int}:
+        return "%d", cells
+    if kinds == {float}:
+        _check_json_floats(cells)
+        return "%.17g", cells
+    if kinds == {float, type(None)} or kinds == {type(None)}:
+        _check_json_floats([x for x in cells if x is not None])
+        return "%s", ["null" if x is None else "%.17g" % x for x in cells]
+    if kinds == {str}:
+        quoted = {s: json.dumps(s) for s in set(cells)}
+        return "%s", [quoted[s] for s in cells]
+    return None
+
+
+def _write_records(obj, out: list) -> bool:
+    """Write a non-empty list of flat dicts that share their string keys,
+    in one order, column by column; False, writing nothing, for any
+    other list.  The bytes are those of the element-wise path."""
+    keys = tuple(obj[0]) if obj and type(obj[0]) is dict else ()
+    if not keys or not all(type(k) is str for k in keys) \
+            or not all(type(r) is dict and tuple(r) == keys for r in obj):
+        return False
+    columns = [_record_column([r[k] for r in obj]) for k in keys]
+    if None in columns:
+        return False
+    row = "{" + ", ".join(f"{json.dumps(k).replace('%', '%%')}: {fmt}"
+                          for k, (fmt, _) in zip(keys, columns)) + "}"
+    cells = chain.from_iterable(zip(*(col for _, col in columns)))
+    out.append("[")
+    out.append(", ".join([row] * len(obj)) % tuple(cells))
+    out.append("]")
+    return True
 
 
 def _write_json(obj, out: list):
@@ -44,10 +99,8 @@ def _write_json(obj, out: list):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        if math.isnan(float(obj)):
-            raise DomainError("cannot serialize NaN inside JSON; "
-                              "use null for missing values")
-        out.append(_fmt(obj))
+        _check_json_floats(obj)
+        out.append("%.17g" % obj)
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, val) in enumerate(obj.items()):
@@ -60,6 +113,8 @@ def _write_json(obj, out: list):
             _write_json(val, out)
         out.append("}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, list) and _write_records(obj, out):
+            return
         out.append("[")
         for i, val in enumerate(obj):
             if i:
@@ -83,11 +138,19 @@ def save_json(path, doc):
         fh.write("\n")
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> DomainError:
+    return DomainError(f"{path}: not valid UTF-8 ({exc.reason})")
+
+
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    # JSONDecodeError, an integer past the digit limit, or nesting too
+    # deep for the parser.
+    except (ValueError, RecursionError) as exc:
         raise DomainError(f"{path}: not valid JSON: {exc}") from None
 
 
@@ -97,8 +160,8 @@ def coefficients_to_doc(seq: CoefficientSequence) -> dict:
     doc = {
         "a0": float(seq.a0),
         "n": int(seq.n),
-        "terms": [{"k": k + 1, "a": float(seq.a[k]), "b": float(seq.b[k])}
-                  for k in range(seq.n)],
+        "terms": [{"k": k, "a": a, "b": b} for k, a, b in
+                  zip(range(1, seq.n + 1), seq.a.tolist(), seq.b.tolist())],
     }
     if seq.generator is not None:
         doc["generator"] = seq.generator
@@ -170,14 +233,14 @@ def write_grid(path, grid: GridFunction, domain=None):
     `domain` [a, b], when given, marks the grid as living on a physical
     interval; loaders transport such grids back to the circle.
     """
-    lines = [_GRID_HEADER]
-    thetas = grid.thetas()
-    for i in range(grid.n):
-        val = _fmt(grid.values[i]) if grid.defined[i] else "nan"
-        lines.append(f"{_fmt(thetas[i])},{val},{1 if grid.defined[i] else 0}")
+    # GridFunction holds finite values where defined and NaN elsewhere,
+    # which `%.17g` writes as "nan", so the rows need no checks.
+    cells = zip(grid.thetas().tolist(), grid.values.tolist(),
+                grid.defined.tolist())
+    body = (_GRID_ROW * grid.n) % tuple(chain.from_iterable(cells))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(_GRID_HEADER + "\n")
+        fh.write(body)
     meta = {"singular_points": [float(s) for s in grid.singular_points],
             "note": grid.note}
     if domain is not None:
@@ -198,35 +261,78 @@ def _finite_list(raw, what):
     raise DomainError(f"{what} must be a list of finite numbers")
 
 
+def _plain_numeral(text, kind):
+    """`kind(text)` without what Python reads but `np.loadtxt` does not:
+    digit separators and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain {kind.__name__}: {text!r}")
+    return kind(text)
+
+
+def _loose_flag(path, row, flag) -> DomainError:
+    return DomainError(f"{path}: row {row}: defined must be 0 or 1, "
+                       f"got {flag}")
+
+
+def _grid_row_error(path, exc: ValueError) -> DomainError:
+    """Word why `np.loadtxt` refused the body of grid CSV `path`: the
+    first row with a wrong field count or a field that is no number, or
+    the parser's own message when no row shows it.  This only words the
+    error; the file is refused whatever the rows show."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        rows = filter(None, (line.rstrip("\n") for line in fh))
+        for i, row in enumerate(rows, 1):
+            parts = row.split(",")
+            if len(parts) != 3:
+                return DomainError(f"{path}: row {i} has {len(parts)} "
+                                   "fields")
+            try:
+                _plain_numeral(parts[0], float)
+                _plain_numeral(parts[1], float)
+                flag = _plain_numeral(parts[2], int)
+            except ValueError as err:
+                return DomainError(f"{path}: row {i}: {err}")
+            if flag not in (0, 1):
+                return _loose_flag(path, i, flag)
+    return DomainError(f"{path}: {exc}")
+
+
 def read_grid(path):
     """Load a grid CSV (and sidecar when present).
 
     Returns (grid, domain) with domain None for plain circle grids.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != _GRID_HEADER:
-        raise DomainError(f"{path}: expected header {_GRID_HEADER!r}")
-    rows = lines[1:]
-    n = len(rows)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().strip() != _GRID_HEADER:
+                raise DomainError(f"{path}: expected header "
+                                  f"{_GRID_HEADER!r}")
+            try:
+                with warnings.catch_warnings():
+                    # An empty body is refused below by its row count.
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(fh, dtype=_GRID_FIELDS, delimiter=",",
+                                      comments=None, ndmin=1)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise _grid_row_error(path, exc) from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    n = rows.size
     if n < 2:
         raise DomainError(f"{path}: a grid needs at least 2 rows")
-    thetas = np.empty(n)
-    values = np.empty(n)
-    defined = np.empty(n, dtype=bool)
-    for i, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"{path}: row {i + 1} has {len(parts)} fields")
-        try:
-            thetas[i] = float(parts[0])
-            values[i] = float(parts[1])
-            defined[i] = bool(int(parts[2]))
-        except ValueError as exc:
-            raise DomainError(f"{path}: row {i + 1}: {exc}") from None
-    if np.max(np.abs(thetas - grid_nodes(n))) > 1e-9:
+    flags = rows["defined"]
+    loose = np.flatnonzero((flags != 0) & (flags != 1))
+    if loose.size:
+        raise _loose_flag(path, loose[0] + 1, flags[loose[0]])
+    # Written so that a NaN theta fails it.
+    if not np.all(np.abs(rows["theta"] - grid_nodes(n)) <= 1e-9):
         raise DomainError(f"{path}: nodes are not the uniform symmetric "
                           f"{n}-point grid")
+    defined = flags == 1
+    values = rows["value"]
     if np.any(defined & ~np.isfinite(values)):
         raise DomainError(f"{path}: non-finite value marked as defined")
 

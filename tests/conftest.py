@@ -6,6 +6,9 @@ numerics (dense trapezoid sums, explicit partial sums) that share no
 code path with the package.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -108,3 +111,53 @@ def random_trig_poly(rng, degree):
                 + np.sin(np.multiply.outer(theta, k)) @ b)
 
     return a0, a, b, fn
+
+
+# ------------------------------------------------- reference file formats
+# Element-wise writers and a row reader for the on-disk formats, written
+# with the stdlib only, one row or one element at a time.  The package's
+# column-wise writers must give the same bytes and its reader the same
+# arrays.
+
+def reference_grid_csv(thetas, values, defined):
+    """Grid CSV text: the header, then `theta,value,defined` per node
+    with 17 significant digits and "nan" at undefined nodes."""
+    lines = ["theta,value,defined"]
+    for th, val, ok in zip(thetas, values, defined):
+        cell = format(float(val), ".17g") if ok else "nan"
+        lines.append(f"{format(float(th), '.17g')},{cell},{1 if ok else 0}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_read_grid_rows(text):
+    """(thetas, values, defined) of well-formed grid CSV text, row by row;
+    values are NaN where undefined."""
+    rows = [ln for ln in text.splitlines()[1:] if ln]
+    thetas, values, defined = [], [], []
+    for row in rows:
+        th, val, flag = row.split(",")
+        ok = {"0": False, "1": True}[flag]
+        thetas.append(float(th))
+        values.append(float(val) if ok else math.nan)
+        defined.append(ok)
+    return np.array(thetas), np.array(values), np.array(defined, bool)
+
+
+def reference_json(obj):
+    """JSON text with insertion-ordered keys and 17-digit floats, one
+    element at a time.  Only for documents the package can write: NaN,
+    inf and foreign types are not handled."""
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {reference_json(v)}"
+                               for k, v in obj.items()) + "}"
+    return "[" + ", ".join(reference_json(v) for v in obj) + "]"

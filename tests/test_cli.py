@@ -1,13 +1,19 @@
 """End-to-end command-line checks, file formats included."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circlecomb._quad
 from circlecomb import cli
@@ -21,6 +27,7 @@ from circlecomb.formats import (
 from circlecomb.realfilter import GridFunction
 from circlecomb.rescale import IntervalMap
 from circlecomb.spectrum import grid_nodes
+from conftest import reference_grid_csv, reference_json
 
 
 def run_cli(*args, cwd=None):
@@ -486,3 +493,226 @@ class TestGridRoutesRunNoQuadrature:
                          "--output", str(grids["out"])]) == 3
         assert "numeric failure" in capsys.readouterr().err
         assert not grids["out"].exists()
+
+
+# --------------------------------------------------------- malformed files
+# A well-formed 16-node grid CSV and a 3-term coefficient JSON, written by
+# the package-free references; each test below breaks one thing in them.
+GOOD_CSV_ROWS = [[format(float(t), ".17g"), format(math.cos(t), ".17g"), "1"]
+                 for t in grid_nodes(16)]
+GOOD_COEFFS = {"a0": 0.5, "n": 3,
+               "terms": [{"k": 1, "a": 1.0, "b": -0.25},
+                         {"k": 2, "a": 0.0, "b": 0.125},
+                         {"k": 3, "a": 1e-3, "b": 0.0}]}
+# Byte strings that are no UTF-8: a stray continuation byte, a lone
+# lead byte, an overlong encoding and an encoded surrogate.
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xc0\xaf", b"\xed\xa0\x80"]
+
+
+def csv_bytes(rows, header="theta,value,defined"):
+    return ("\n".join([header] + [",".join(r) for r in rows])
+            + "\n").encode()
+
+
+def insert(data: bytes, at: int, piece: bytes) -> bytes:
+    at %= len(data) + 1
+    return data[:at] + piece + data[at:]
+
+
+def run_refused(files, argv):
+    """Write `files` (name -> bytes) into a fresh directory, run the CLI
+    in-process on `argv` with {name} placeholders filled in, and assert
+    exit 2, one stderr line, no stdout and no output file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        out = os.path.join(tmp, "out.csv")
+        err, std = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(std):
+            code = cli.main([a.format(dir=tmp) for a in argv]
+                            + ["--output", out])
+        assert code == 2, err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert std.getvalue() == ""
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".json")
+
+
+FILTER_GRID = ["filter", "--input", "{dir}/g.csv", "--eps", "1.0"]
+EVAL_JSON = ["eval", "--input", "{dir}/c.json", "--rho", "0.5", "--grid",
+             "16"]
+
+csv_tokens = {
+    "theta": ["nan", "inf", "-inf", "1_0", "", "x", "0x1p-2", "\u0661",
+              "1e", "--1", "0.1", "3.2"],
+    "value": ["nan", "inf", "-inf", "1_0", "", "x", "1e", "--1",
+              "\u0661\u0662", "1 2", '"1"', "1;2"],
+    "defined": ["2", "-1", "1.0", "1e0", "true", "", "x", "1_0", "10",
+                "99999999999999999999", "\u0661", "0.5"],
+}
+
+
+@st.composite
+def malformed_csvs(draw):
+    rows = [list(r) for r in GOOD_CSV_ROWS]
+    kind = draw(st.sampled_from(["field", "count", "header", "rows",
+                                 "bytes", "theta-all-nan", "off-grid"]))
+    if kind == "field":
+        column = draw(st.sampled_from(sorted(csv_tokens)))
+        token = draw(st.sampled_from(csv_tokens[column]))
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i][("theta", "value", "defined").index(column)] = token
+    elif kind == "count":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.sampled_from([rows[i][:2], rows[i][:1],
+                                        rows[i] + ["0"], rows[i] + [""]]))
+    elif kind == "header":
+        header = draw(st.text(max_size=24).filter(
+            lambda h: h.strip() != "theta,value,defined"
+            and "\n" not in h and "\r" not in h))
+        return csv_bytes(rows, header)
+    elif kind == "rows":
+        rows = rows[:draw(st.integers(0, 1))]
+    elif kind == "bytes":
+        data = csv_bytes(rows)
+        return insert(data, draw(st.integers(0, len(data))),
+                      draw(st.sampled_from(NOT_UTF8)))
+    elif kind == "theta-all-nan":
+        for r in rows:
+            r[0] = "nan"
+    else:
+        i = draw(st.integers(0, len(rows) - 1))
+        shift = draw(st.sampled_from([1e-6, -1e-8, 0.5]))
+        rows[i][0] = format(float(rows[i][0]) + shift, ".17g")
+    return csv_bytes(rows)
+
+
+malformed_sidecars = st.one_of(
+    st.sampled_from([
+        b"[" * 5000,
+        b'{"singular_points": [1' + b"0" * 5000 + b"]}",
+        b'{"note": ',
+        b"",
+        b"[]",
+        b'"x"',
+        b'{"domain": [1]}',
+        b'{"domain": [2, 1]}',
+        b'{"domain": 3}',
+        b'{"singular_points": [true]}',
+        b'{"singular_points": [Infinity]}',
+        b'{"singular_points": {"a": 1}}',
+    ]),
+    st.builds(lambda at, bad: insert(b'{"note": "grid"}', at, bad),
+              st.integers(0, 16), st.sampled_from(NOT_UTF8)),
+    # Any JSON value but an object.
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False, allow_infinity=False), st.text(),
+              st.lists(st.integers(), max_size=3)).map(
+        lambda v: json.dumps(v).encode()),
+)
+
+
+def _replace_number(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+coefficient_number_paths = st.sampled_from(
+    [("a0",), ("n",)] + [("terms", i, f) for i in range(3)
+                         for f in ("k", "a", "b")])
+non_numbers = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                        st.lists(st.integers(), max_size=2),
+                        st.just({"x": 1}))
+
+
+@st.composite
+def malformed_coefficient_json(draw):
+    good = reference_json(GOOD_COEFFS).encode()
+    kind = draw(st.sampled_from(["type", "literal", "truncate", "bytes",
+                                 "nesting", "digits", "count"]))
+    if kind == "type":
+        path = draw(coefficient_number_paths)
+        doc = _replace_number(GOOD_COEFFS, path, draw(non_numbers))
+        return reference_json(doc).encode()
+    if kind == "literal":
+        path = draw(coefficient_number_paths)
+        literal = draw(st.sampled_from(["NaN", "Infinity", "-Infinity",
+                                        "1e400", "1" + "0" * 400]))
+        doc = _replace_number(GOOD_COEFFS, path, "@@")
+        return reference_json(doc).replace('"@@"', literal).encode()
+    if kind == "truncate":
+        return good[:draw(st.integers(0, len(good) - 1))]
+    if kind == "bytes":
+        return insert(good, draw(st.integers(0, len(good))),
+                      draw(st.sampled_from(NOT_UTF8)))
+    if kind == "nesting":
+        depth = draw(st.integers(2000, 20000))
+        return b"[" * depth + b"]" * depth
+    if kind == "digits":
+        path = draw(coefficient_number_paths)
+        doc = _replace_number(GOOD_COEFFS, path, "@@")
+        digits = "1" * draw(st.integers(4301, 6000))
+        return reference_json(doc).replace('"@@"', digits).encode()
+    doc = json.loads(json.dumps(GOOD_COEFFS))
+    doc["terms"] = doc["terms"][:draw(st.integers(0, 2))]
+    return reference_json(doc).encode()
+
+
+class TestMalformedFiles:
+    """Every malformed grid CSV, sidecar and coefficient JSON exits 2
+    with one stderr line, no traceback and no output file."""
+
+    def test_the_unbroken_files_pass(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "g.csv"), "wb") as fh:
+                fh.write(csv_bytes(GOOD_CSV_ROWS))
+            with open(os.path.join(tmp, "c.json"), "wb") as fh:
+                fh.write(reference_json(GOOD_COEFFS).encode())
+            for argv in (FILTER_GRID, EVAL_JSON):
+                assert cli.main([a.format(dir=tmp) for a in argv]
+                                + ["--output", f"{tmp}/out.csv"]) == 0
+
+    @pytest.mark.parametrize("files, argv", [
+        ({"g.csv": csv_bytes([["nan", r[1], r[2]] for r in GOOD_CSV_ROWS])},
+         FILTER_GRID),
+        ({"g.csv": csv_bytes([r[:2] + ["2"] for r in GOOD_CSV_ROWS])},
+         FILTER_GRID),
+        ({"g.csv": csv_bytes([r[:2] + ["-1"] for r in GOOD_CSV_ROWS])},
+         FILTER_GRID),
+        ({"g.csv": csv_bytes([[r[0], "1_0", r[2]] for r in GOOD_CSV_ROWS])},
+         FILTER_GRID),
+        ({"g.csv": insert(csv_bytes(GOOD_CSV_ROWS), 40, b"\xff")},
+         FILTER_GRID),
+        ({"g.csv": csv_bytes(GOOD_CSV_ROWS), "g.csv.json": b'{"\xff": 1}'},
+         FILTER_GRID),
+        ({"c.json": insert(reference_json(GOOD_COEFFS).encode(), 8,
+                           b"\xff")}, EVAL_JSON),
+        ({"c.json": b"[" * 5000}, EVAL_JSON),
+        ({"c.json": b'{"a0": ' + b"1" * 5000 + b', "n": 0, "terms": []}'},
+         EVAL_JSON),
+    ], ids=["theta-all-nan", "defined-2", "defined-minus-1",
+            "value-digit-separator", "csv-not-utf8", "sidecar-not-utf8",
+            "json-not-utf8", "json-nested-too-deep", "json-integer-digits"])
+    def test_loose_reads_and_tracebacks_exit_2(self, files, argv):
+        run_refused(files, argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=malformed_csvs())
+    def test_malformed_grid_csvs_exit_2(self, data):
+        run_refused({"g.csv": data}, FILTER_GRID)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sidecar=malformed_sidecars)
+    def test_malformed_sidecars_exit_2(self, sidecar):
+        run_refused({"g.csv": csv_bytes(GOOD_CSV_ROWS),
+                     "g.csv.json": sidecar}, FILTER_GRID)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=malformed_coefficient_json())
+    def test_malformed_coefficient_json_exits_2(self, data):
+        run_refused({"c.json": data}, EVAL_JSON)

@@ -1,10 +1,16 @@
 """Deterministic serialization: JSON coefficients, grid CSV, reports."""
 
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import circlecomb.formats
 from circlecomb.catalog import make
 from circlecomb.classify import certificate_report, classify_coefficients, classify_pointwise
 from circlecomb.errors import DomainError
@@ -22,6 +28,31 @@ from circlecomb.formats import (
 )
 from circlecomb.realfilter import GridFunction
 from circlecomb.spectrum import CoefficientSequence, grid_nodes
+from conftest import reference_grid_csv, reference_json, reference_read_grid_rows
+
+# Floats the formats must carry bit for bit: signed zeros, subnormals,
+# the ends of the double range and two that need all 17 digits.
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+                  0.1, 1 / 3)
+
+
+def float_pool(rng, size=64):
+    """SPECIAL_FLOATS plus random doubles over every binary exponent."""
+    spread = rng.standard_normal(size) * 10.0 ** rng.uniform(-320, 300, size)
+    return np.concatenate((SPECIAL_FLOATS, spread))
+
+
+def drawn_grid(seed, n, hole_ratio):
+    """An n-node grid drawn from `float_pool`, the special floats first,
+    with about `hole_ratio` of its nodes undefined."""
+    rng = np.random.default_rng(seed)
+    pool = float_pool(rng)
+    values = rng.choice(pool, n)
+    k = min(n, len(SPECIAL_FLOATS))
+    values[:k] = SPECIAL_FLOATS[:k]
+    defined = rng.random(n) >= hole_ratio
+    return GridFunction(np.where(defined, values, np.nan), defined)
 
 
 class TestJsonWriter:
@@ -253,3 +284,145 @@ class TestReportDocuments:
         assert all(n["value"] is None and n["residual"] is None
                    for n in holes)
         assert "null" in dumps_json(doc)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# Column strategies for record lists: homogeneous columns take the
+# column-wise writer, mixed ones the element-wise path.
+record_columns = st.sampled_from([
+    st.integers(-2 ** 70, 2 ** 70),
+    finite_floats,
+    st.none() | finite_floats,
+    st.none(),
+    st.text(max_size=6),
+    st.sampled_from(["combed", "ragged", "undefined"]),
+    st.booleans(),
+    st.none() | st.booleans() | st.integers() | finite_floats | st.text(),
+    st.lists(finite_floats, max_size=2),
+])
+
+
+@st.composite
+def record_lists(draw):
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4,
+                         unique=True))
+    record = st.fixed_dictionaries({k: draw(record_columns) for k in keys})
+    return draw(st.lists(record, max_size=30))
+
+
+class TestColumnWiseFormats:
+    """The column-wise writers give the bytes of the element-wise
+    reference in conftest, and the reader gives its arrays."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3000),
+           hole_ratio=st.sampled_from([0.0, 0.2, 0.9, 1.0]))
+    @example(seed=0, n=2, hole_ratio=0.0)
+    @example(seed=1, n=len(SPECIAL_FLOATS), hole_ratio=0.0)
+    @example(seed=2, n=3000, hole_ratio=0.5)
+    def test_grid_csv_matches_the_row_reference(self, seed, n, hole_ratio):
+        grid = drawn_grid(seed, n, hole_ratio)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.csv")
+            write_grid(path, grid)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            back, domain = read_grid(path)
+        assert text == reference_grid_csv(grid.thetas(), grid.values,
+                                          grid.defined)
+        thetas, values, defined = reference_read_grid_rows(text)
+        assert domain is None
+        assert np.array_equal(thetas, grid_nodes(n))
+        assert np.array_equal(back.defined, defined)
+        # Bitwise on defined nodes, so -0.0 and subnormals count.
+        assert np.array_equal(back.values[defined].view(np.int64),
+                              values[defined].view(np.int64))
+        assert np.all(np.isnan(back.values[~defined]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 3000))
+    @example(seed=0, n=0)
+    @example(seed=1, n=len(SPECIAL_FLOATS))
+    def test_coefficient_json_matches_the_element_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pool = float_pool(rng)
+        a = rng.choice(pool, n)
+        a[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n]
+        seq = CoefficientSequence(float(rng.choice(pool)), a,
+                                  rng.choice(pool, n))
+        doc = coefficients_to_doc(seq)
+        assert dumps_json(doc) == reference_json(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=record_lists())
+    @example(records=[{"a%d": 1, 'q"%s': "x%"}, {"a%d": 2, 'q"%s': "%%"}])
+    @example(records=[{"theta": 0.5, "verdict": "undefined", "value": None,
+                       "residual": None},
+                      {"theta": -0.0, "verdict": "combed", "value": 5e-324,
+                       "residual": 1e300}])
+    @example(records=[{"k": 1}, {"j": 2}])
+    @example(records=[{"k": 1, "a": 2.0}, {"a": 2.0, "k": 1}])
+    def test_record_lists_match_the_element_reference(self, records):
+        doc = {"overall": "ragged", "nodes": records}
+        assert dumps_json(doc) == reference_json(doc)
+        assert dumps_json(records) == reference_json(records)
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "NaN"), (math.inf, "infinite"), (-math.inf, "infinite")])
+    def test_record_columns_refuse_non_finite_floats(self, bad, message):
+        terms = [{"k": 1, "a": 0.5, "b": 0.0}, {"k": 2, "a": bad, "b": 0.0}]
+        with pytest.raises(DomainError, match=message):
+            dumps_json({"terms": terms})
+        nodes = [{"value": None}, {"value": 1.0}, {"value": bad}]
+        with pytest.raises(DomainError, match=message):
+            dumps_json({"nodes": nodes})
+
+
+    def test_write_and_read_peaks_stay_below_the_row_loops(self, tmp_path):
+        # Traced peaks of the row-at-a-time writer and reader on a grid of
+        # this size: 23.9 MB to write, 18.6 MB to read.  The column-wise
+        # ones hold the body text and one tuple of cells (write) or the
+        # parsed rows (read).
+        grid = drawn_grid(11, 131072, 0.1)
+        path = tmp_path / "g.csv"
+        tracemalloc.start()
+        try:
+            write_grid(path, grid)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            read_grid(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 23.9e6, f"write_grid traced peak {write_peak}"
+        assert read_peak < 18.6e6, f"read_grid traced peak {read_peak}"
+
+
+class TestGridReadsTakeTheFastPath:
+    """Well-formed grid CSVs are parsed column-wise in one pass; the row
+    loop only words the error of a file that pass refused."""
+
+    @pytest.fixture(autouse=True)
+    def no_row_loop(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a well-formed grid CSV reached the row "
+                                 "loop")
+        monkeypatch.setattr(circlecomb.formats, "_grid_row_error", refuse)
+
+    @pytest.mark.parametrize("domain", [None, (0.0, 10.0)],
+                             ids=["plain", "domain-tagged"])
+    def test_written_grids_read_back_without_the_row_loop(self, tmp_path,
+                                                          domain):
+        grid = drawn_grid(7, 65536, 0.1)
+        path = tmp_path / "g.csv"
+        write_grid(path, grid, domain=domain)
+        back, back_domain = read_grid(path)
+        assert back_domain == domain
+        assert np.array_equal(back.defined, grid.defined)
+        assert np.array_equal(back.values, grid.values, equal_nan=True)
+
+    def test_refused_files_still_reach_it(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("theta,value,defined\n-3.14,x,1\n0,1,1\n")
+        with pytest.raises(AssertionError, match="row loop"):
+            read_grid(path)
