@@ -5,7 +5,7 @@ that is smooth at the evaluation point expand in even powers of the
 window half-width, so extrapolating in the squared parameter converges
 fastest there.  At kinks the expansion picks up odd powers and the even
 model stalls; plain polynomial extrapolation in the parameter itself
-handles those.  `realfilter.extrapolated_limit` is the one place that
+handles those.  `realfilter.extrapolated_limits` is the one place that
 runs both and keeps whichever settles better; this module holds the
 Neville tableau and the divergence and concentrated-mass heuristics it
 judges them with.
@@ -19,14 +19,15 @@ import numpy as np
 def neville_to_zero(xs, values):
     """Extrapolate values sampled at xs > 0 to x = 0.
 
-    Works on scalars per sample row: `values` has shape (m,) or (m, n)
-    with one row per xs entry.  Returns (value, corrections) where
-    corrections[j] is the change of the running extrapolant at level
-    j+1; the last one is the usual residual estimate.
+    `values` has shape (m,) or (m, n) with one row per sample, and `xs`
+    shape (m,) or that of `values` (one schedule per column).  Returns
+    (value, corrections) where corrections[j] is the change of the
+    running extrapolant at level j+1; the last one is the usual
+    residual estimate.
     """
     xs = np.asarray(xs, dtype=float)
     p = np.array(values, dtype=float)
-    m = xs.size
+    m = len(xs)
     corrections = []
     for lev in range(1, m):
         prev = p[-1]
@@ -37,13 +38,17 @@ def neville_to_zero(xs, values):
     return p[-1], corrections
 
 
-def diverging(corrections, value, floor=1e-8):
-    """Heuristic: corrections strictly grow and end up large vs the value."""
-    c = [float(x) for x in corrections]
-    if len(c) < 2:
-        return False
-    growing = all(c[i + 1] > c[i] for i in range(len(c) - 1))
-    return growing and c[-1] > max(floor, 0.1 * (1.0 + abs(value)))
+# Corrections below this never count as a blowup, however they grow.
+_DIVERGENCE_FLOOR = 1e-8
+
+
+def diverging(corrections, values):
+    """Per column of the `neville_to_zero` corrections: they strictly grow
+    and end up large vs the extrapolated value."""
+    c = np.asarray(corrections, dtype=float)
+    growing = np.all(c[1:] > c[:-1], axis=0) & (len(c) >= 2)
+    return growing & (c[-1] > np.maximum(_DIVERGENCE_FLOOR,
+                                         0.1 * (1.0 + np.abs(values))))
 
 
 def mass_signature(eps_values, samples, tol):

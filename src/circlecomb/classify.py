@@ -9,7 +9,8 @@ independent routes compute it (direct shrinking-window limits, series
 reconstruction from coefficients, radial limits from inside the disk).
 
 Verdicts are per grid node; grid density is an explicit parameter of
-the report, not a claim about all points.
+the report, not a claim about all points.  All nodes run in one array
+pass, one column per node; grid data's averages come in closed form.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import numpy as np
 from ._extrap import mass_signature, neville_to_zero
 from .catalog import make
 from .disk import DEFAULT_DELTA_SCHEDULE, boundary_value_grid
-from .errors import (CircleCombError, DomainError, NoConvergence,
-                     QuadratureFailure, UndefinedHere)
+from .errors import CircleCombError, DomainError
 from .realfilter import (DEFAULT_EPS_SCHEDULE, GridFunction,
-                         check_eps_schedule, extrapolated_limit,
-                         kernel_filter_eval)
+                         check_eps_schedule, extrapolated_limits,
+                         window_averages)
 from .spectrum import (DEFAULT_N, CoefficientSequence, EvaluatorFunction,
                        circle_distance, compute_coefficients, grid_nodes,
                        partial_sum_grid, sinc, wrap_angle)
@@ -74,45 +74,23 @@ class CoefficientCertificate:
     max_final_gap: float
 
 
-def _node_schedule(es: np.ndarray, dist: float) -> np.ndarray:
-    """Shrink the whole schedule so windows clear a singular point at
-    the given distance; at the point itself keep the symmetric base."""
-    if dist <= _SNAP or dist >= 2.0 * es[0]:
-        return es
-    return es * (dist / (2.0 * es[0]))
+def _window_limits(f: EvaluatorFunction, thetas: np.ndarray, es: np.ndarray,
+                   quad_tol: float):
+    """Shrinking-window limits at every node in one pass.
 
-
-def _node_samples(f: EvaluatorFunction, theta: float, es: np.ndarray,
-                  quad_tol: float):
-    """Window averages along the (possibly shrunk) schedule at one node."""
-    dists = [float(circle_distance(theta, s.theta))
-             for s in f.singular_points]
-    sched = _node_schedule(es, min(dists)) if dists else es
-    vals = np.array([kernel_filter_eval(f, theta, float(e), tol=quad_tol)
-                     for e in sched])
-    return sched, vals
-
-
-def _node_limit(f: EvaluatorFunction, theta: float, es: np.ndarray,
-                quad_tol: float):
-    """Shrinking-window limit at one node; returns (value, correction)."""
-    sched, vals = _node_samples(f, theta, es, quad_tol)
-    return extrapolated_limit(sched, vals)
-
-
-def _lateral_limits(f: EvaluatorFunction, theta: float, h: float):
-    """One-sided value estimates from samples at theta +- {2h, h, h/2}.
-
-    Returns (plus, minus, err) with err the summed last extrapolation
-    corrections — the probes' own error scale, used so that their
-    truncation error is never mistaken for a genuine lateral gap.
+    Each node's schedule is `es`, shrunk as a whole so its windows clear
+    the nearest declared singular point (at the point itself, and far
+    from any, the symmetric base).  Returns the schedules and window
+    averages (m, N), then `extrapolated_limits` of them.
     """
-    offs = np.array([2.0 * h, h, 0.5 * h])
-    plus = f.sample(wrap_angle(theta + offs))
-    minus = f.sample(wrap_angle(theta - offs))
-    lp, cp = neville_to_zero(offs, plus)
-    lm, cm = neville_to_zero(offs, minus)
-    return float(lp), float(lm), float(cp[-1]) + float(cm[-1])
+    sched = np.repeat(es[:, None], thetas.size, axis=1)
+    if f.singular_points:
+        dist = np.min([circle_distance(thetas, s.theta)
+                       for s in f.singular_points], axis=0)
+        shrink = (dist > _SNAP) & (dist < 2.0 * es[0])
+        sched[:, shrink] = es[:, None] * (dist[shrink] / (2.0 * es[0]))
+    samples = window_averages(f, thetas, sched, quad_tol)
+    return (sched, samples) + extrapolated_limits(sched, samples)
 
 
 def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
@@ -135,6 +113,10 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
     lateral-limit probe.  Declared singular points are exempt: windows
     near them shrink with the distance, so genuine jumps and kinks do
     not trip this.
+
+    The lateral probes extrapolate samples at theta +- {2h, h, h/2} to
+    one-sided values; their summed last corrections (times 4) widen tol,
+    so their truncation error is never mistaken for a genuine jump.
     """
     if n_grid < 16:
         raise DomainError(f"classification grid needs >= 16 nodes, "
@@ -145,44 +127,38 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
     h_lateral = 2.0 * (2.0 * math.pi / n_grid)
     quad_tol = min(1e-12, tol * 1e-3)
 
-    nodes = []
-    for theta in grid_nodes(n_grid):
-        theta = float(theta)
-        f_val = f(theta)
-        if not np.isfinite(f_val):
-            nodes.append(NodeReport(theta, UNDEFINED, None, None))
-            continue
-        try:
-            sched, samples = _node_samples(f, theta, es, quad_tol)
-        except (UndefinedHere, QuadratureFailure):
-            nodes.append(NodeReport(theta, UNDEFINED, None, None))
-            continue
-        try:
-            limit, corr = extrapolated_limit(sched, samples)
-        except NoConvergence:
-            limit, corr = None, math.inf
-        if limit is not None and corr <= 0.25 * tol:
-            residual = abs(f_val - limit)
-            if residual <= tol:
-                nodes.append(NodeReport(theta, RECOVERED, limit, residual))
-                continue
-        elif mass_signature(sched, samples, tol):
-            # The averages do not settle: the node value rides on
-            # concentrated mass the vanishing window can never keep,
-            # so recovery fails outright.
-            limit, residual = None, None
-        else:
-            nodes.append(NodeReport(theta, UNDEFINED, None, None))
-            continue
-        if limit is not None:
-            residual = abs(f_val - limit)
-        lp, lm, lerr = _lateral_limits(f, theta, h_lateral)
-        if np.isfinite(lp) and np.isfinite(lm) \
-                and abs(lp - lm) > tol + 4.0 * lerr:
-            verdict = JUMP_MIDPOINT_MISMATCH
-        else:
-            verdict = SPIKE_MISMATCH
-        nodes.append(NodeReport(theta, verdict, limit, residual))
+    thetas = grid_nodes(n_grid)
+    f_vals = f.sample(thetas)
+    live = np.flatnonzero(np.isfinite(f_vals))
+    sched, samples, limits, corr, settled = _window_limits(
+        f, thetas[live], es, quad_tol)
+    residuals = np.abs(f_vals[live] - limits)
+    trusted = settled & (corr <= 0.25 * tol)
+    missed = trusted & (residuals > tol)
+    # Averages that do not settle on concentrated mass: the node value
+    # rides on mass the vanishing window can never keep, so recovery
+    # fails outright.
+    massive = ~trusted & ~np.isnan(samples[0])
+    for j in np.flatnonzero(massive):
+        massive[j] = mass_signature(sched[:, j], samples[:, j], tol)
+
+    probed = np.flatnonzero(missed | massive)
+    jumps = np.zeros(live.size, dtype=bool)
+    offs = np.array([2.0 * h_lateral, h_lateral, 0.5 * h_lateral])
+    at = thetas[live[probed]]
+    lp, cp = neville_to_zero(offs, f.sample(wrap_angle(at + offs[:, None])))
+    lm, cm = neville_to_zero(offs, f.sample(wrap_angle(at - offs[:, None])))
+    jumps[probed] = np.isfinite(lp) & np.isfinite(lm) \
+        & (np.abs(lp - lm) > tol + 4.0 * (cp[-1] + cm[-1]))
+
+    nodes = [NodeReport(float(t), UNDEFINED, None, None) for t in thetas]
+    for j in np.flatnonzero(trusted | massive):
+        verdict = RECOVERED if trusted[j] and not missed[j] \
+            else JUMP_MIDPOINT_MISMATCH if jumps[j] else SPIKE_MISMATCH
+        limit, residual = (float(limits[j]), float(residuals[j])) \
+            if trusted[j] else (None, None)
+        nodes[live[j]] = NodeReport(nodes[live[j]].theta, verdict, limit,
+                                    residual)
 
     ragged = any(r.verdict in (SPIKE_MISMATCH, JUMP_MIDPOINT_MISMATCH)
                  for r in nodes)
@@ -235,20 +211,12 @@ def certificate_report(cert: CoefficientCertificate) -> ClassificationReport:
 def comb_by_filter_limit(f: EvaluatorFunction, n_grid: int = 256,
                          eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
                          ) -> GridFunction:
-    """The limit function itself, node by node; failures become mask
-    holes instead of errors."""
-    es = check_eps_schedule(eps_schedule)
-    thetas = grid_nodes(n_grid)
-    values = np.full(n_grid, np.nan)
-    defined = np.zeros(n_grid, dtype=bool)
-    for i, theta in enumerate(thetas):
-        try:
-            values[i], _ = _node_limit(f, float(theta), es, 1e-12)
-            defined[i] = True
-        except (UndefinedHere, NoConvergence, QuadratureFailure):
-            pass
+    """The limit function itself at every node; nodes without a settled
+    limit become mask holes instead of errors."""
+    _, _, values, _, settled = _window_limits(
+        f, grid_nodes(n_grid), check_eps_schedule(eps_schedule), 1e-12)
     return GridFunction(
-        values=values, defined=defined,
+        values=values, defined=settled,
         singular_points=tuple(s.theta for s in f.singular_points),
         note="combed by shrinking-window limits")
 

@@ -261,43 +261,6 @@ def _finite_list(raw, what):
     raise DomainError(f"{what} must be a list of finite numbers")
 
 
-def _plain_numeral(text, kind):
-    """`kind(text)` without what Python reads but `np.loadtxt` does not:
-    digit separators and non-ASCII digits."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not a plain {kind.__name__}: {text!r}")
-    return kind(text)
-
-
-def _loose_flag(path, row, flag) -> DomainError:
-    return DomainError(f"{path}: row {row}: defined must be 0 or 1, "
-                       f"got {flag}")
-
-
-def _grid_row_error(path, exc: ValueError) -> DomainError:
-    """Word why `np.loadtxt` refused the body of grid CSV `path`: the
-    first row with a wrong field count or a field that is no number, or
-    the parser's own message when no row shows it.  This only words the
-    error; the file is refused whatever the rows show."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        rows = filter(None, (line.rstrip("\n") for line in fh))
-        for i, row in enumerate(rows, 1):
-            parts = row.split(",")
-            if len(parts) != 3:
-                return DomainError(f"{path}: row {i} has {len(parts)} "
-                                   "fields")
-            try:
-                _plain_numeral(parts[0], float)
-                _plain_numeral(parts[1], float)
-                flag = _plain_numeral(parts[2], int)
-            except ValueError as err:
-                return DomainError(f"{path}: row {i}: {err}")
-            if flag not in (0, 1):
-                return _loose_flag(path, i, flag)
-    return DomainError(f"{path}: {exc}")
-
-
 def read_grid(path):
     """Load a grid CSV (and sidecar when present).
 
@@ -308,25 +271,24 @@ def read_grid(path):
             if fh.readline().strip() != _GRID_HEADER:
                 raise DomainError(f"{path}: expected header "
                                   f"{_GRID_HEADER!r}")
-            try:
-                with warnings.catch_warnings():
-                    # An empty body is refused below by its row count.
-                    warnings.simplefilter("ignore", UserWarning)
-                    rows = np.loadtxt(fh, dtype=_GRID_FIELDS, delimiter=",",
-                                      comments=None, ndmin=1)
-            except UnicodeDecodeError:
-                raise
-            except ValueError as exc:
-                raise _grid_row_error(path, exc) from None
-    except UnicodeDecodeError as exc:
+            with warnings.catch_warnings():
+                # An empty body is refused below by its row count.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=_GRID_FIELDS, delimiter=",",
+                                  comments=None, ndmin=1)
+    except UnicodeDecodeError as exc:     # before ValueError, its base
         raise _not_utf8(path, exc) from None
+    except ValueError as exc:
+        # The parser's message names the token, row and column.
+        raise DomainError(f"{path}: {exc}") from None
     n = rows.size
     if n < 2:
         raise DomainError(f"{path}: a grid needs at least 2 rows")
     flags = rows["defined"]
     loose = np.flatnonzero((flags != 0) & (flags != 1))
     if loose.size:
-        raise _loose_flag(path, loose[0] + 1, flags[loose[0]])
+        raise DomainError(f"{path}: row {loose[0] + 1}: defined must be 0 "
+                          f"or 1, got {flags[loose[0]]}")
     # Written so that a NaN theta fails it.
     if not np.all(np.abs(rows["theta"] - grid_nodes(n)) <= 1e-9):
         raise DomainError(f"{path}: nodes are not the uniform symmetric "
@@ -346,7 +308,9 @@ def read_grid(path):
             raise DomainError(f"{side}: metadata must be a JSON object")
         singulars = _finite_list(meta.get("singular_points", []),
                                  f"{side}: singular_points")
-        note = str(meta.get("note", ""))
+        note = meta.get("note", "")
+        if not isinstance(note, str):
+            raise DomainError(f"{side}: note must be a string")
         if "domain" in meta:
             domain = _finite_list(meta["domain"], f"{side}: domain [a, b]")
             if len(domain) != 2 or not domain[0] < domain[1]:

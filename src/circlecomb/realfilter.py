@@ -5,9 +5,10 @@ The basic operation replaces f(theta) by its average over the arc
 three interchangeable forms: direct quadrature against a pointwise
 evaluator, a diagonal multiplier sin(k eps)/(k eps) on coefficient
 sequences, and the closed-form average of the piecewise-linear
-interpolant on uniform grids.  Shrinking-window limits with polynomial
-extrapolation recover pointwise values where the function is tame and
-expose defects where it is not.
+interpolant on uniform grids, which a grid's evaluator carries for any
+centres and half-widths.  Shrinking-window limits with polynomial
+extrapolation, one column per schedule, recover pointwise values where
+the function is tame and expose defects where it is not.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import _quad
 from ._extrap import diverging, mass_signature, neville_to_zero
 from .errors import (DomainError, EpsilonBelowResolution, NoConvergence,
-                     UndefinedHere)
+                     QuadratureFailure, UndefinedHere)
 from .spectrum import (TWO_PI, CoefficientSequence, EvaluatorFunction,
                        SingularPoint, circle_distance, grid_nodes, sinc,
                        wrap_angle)
@@ -85,17 +86,6 @@ class FilterSpec:
             raise DomainError(f"unknown filter method {self.method!r}")
 
 
-def _window_copies(point, lo, hi, closed):
-    """2-pi translates of `point` that land in the window [lo, hi]."""
-    out = []
-    for m in (-1, 0, 1):
-        x = point + TWO_PI * m
-        inside = (lo <= x <= hi) if closed else (lo < x < hi)
-        if inside:
-            out.append(x)
-    return out
-
-
 def kernel_filter_eval(f: EvaluatorFunction, theta: float, eps: float,
                        tol: float = 1e-10) -> float:
     """Window average of a circle evaluator at one angle, by quadrature.
@@ -114,17 +104,15 @@ def kernel_filter_eval(f: EvaluatorFunction, theta: float, eps: float,
     lo, hi = theta - eps, theta + eps
 
     for s in f.singular_points:
-        if not s.integrable and _window_copies(s.theta, lo, hi, closed=True):
+        if not s.integrable and circle_distance(theta, s.theta) <= eps:
             raise UndefinedHere(
                 f"non-integrable singular point at {s.theta} inside the "
                 f"window of half-width {eps} around {theta}")
 
-    pins = set()
-    for p in f.pin_points():
-        pins.update(_window_copies(p, lo, hi, closed=False))
-
+    # The 2-pi translates of the pins strictly inside the window.
+    pins = np.add.outer(f.pin_points(), TWO_PI * np.array([-1, 0, 1]))
     value, _ = _quad.integrate(lambda x: f.sample(wrap_angle(x)), lo, hi,
-                               pins=tuple(sorted(pins)),
+                               pins=np.unique(pins[(lo < pins) & (pins < hi)]),
                                tol=tol * 2.0 * eps)
     return value / (2.0 * eps)
 
@@ -139,63 +127,125 @@ def multiplier_filter(seq: CoefficientSequence, eps: float) -> CoefficientSequen
                                quadrature_error=seq.quadrature_error)
 
 
-def kernel_filter_grid(grid: GridFunction, eps: float) -> GridFunction:
-    """Exact window average of the grid's piecewise-linear interpolant.
+def _interpolant_windows(grid: GridFunction, c, q):
+    """Exact averages of the grid's piecewise-linear interpolant over the
+    index windows [c - q, c + q], NaN where a window has no average.
 
-    With q = eps / h in index units, the average at node i is
-    (F(i + q) - F(i - q)) / (2 q), F the interpolant's piecewise-quadratic
-    antiderivative: a prefix sum of trapezoids over v - mean(v), extended
-    floor(q) + 1 nodes past each end so that no window wraps.  Taking out
-    the mean keeps data with a large offset precise.  A running sum of K
-    terms errs by up to (K - 1) u sum|terms| (Higham 2002, sec. 4.2),
-    which a difference of two prefixes inherits, so the sum is
-    compensated (sec. 4.3): the average errs by a few u times the mean
-    of |v - mean(v)| over the window, for any grid size.
+    Positions are in index units, node i at i; `c` and `q > 0`
+    broadcast.  `c` None with a scalar `q` centres one window on every
+    node, and those are read off the prefix arrays as slices.  The
+    average is (F(c + q) - F(c - q)) / (2 q), F the interpolant's
+    piecewise-quadratic antiderivative: a prefix sum of trapezoids over
+    v - mean(v), extended floor(max q) + 2 nodes past each end so that
+    no window wraps.  Taking out the mean keeps data with a large offset
+    precise.  A running sum of K terms errs by up to (K - 1) u sum|terms|
+    (Higham 2002, sec. 4.2), which a difference of two prefixes
+    inherits, so the sum is compensated (sec. 4.3): the average errs by
+    a few u times the mean of |v - mean(v)| over the window, for any
+    grid size.  The end pieces take their fractions from the fractional
+    parts of c and q, never from c +- q, which on a large grid rounds
+    by an ulp of the node index.
 
-    Output nodes are undefined wherever an undefined input node lies
-    within floor(q) + 1 of them.  The window must span at least one
-    grid cell.
+    A window reads the nodes ceil(c - q) - 1 .. floor(c + q) + 1 and
+    has no average when any of them is undefined.
     """
-    if not (0.0 < eps <= math.pi):
-        raise DomainError(f"window half-width {eps} outside (0, pi]")
     n = grid.n
-    h = TWO_PI / n
-    if eps < h:
-        raise EpsilonBelowResolution(
-            f"half-width {eps} below the grid spacing {h:.6g}; "
-            "the window would see no neighbouring node")
-
-    q = eps / h
-    m = int(math.floor(q))
-    r = q - m
-    # Position p of the extended arrays holds node (p - m - 1) mod n, so
-    # lo and hi hold nodes i - m and i + m, and positions lo - 1 .. hi + 1
-    # the nodes within m + 1 of node i.
-    ext = np.arange(-m - 1, n + m + 1)
-    lo, hi = np.arange(n) + 1, np.arange(n) + 2 * m + 1
-    bad_count = np.concatenate(
-        ([0], np.cumsum(np.take(~grid.defined, ext, mode="wrap"))))
-    bad = bad_count[hi + 2] > bad_count[lo - 1]
+    fc = 0.0 if c is None else c - np.floor(c)
+    fq = q - np.floor(q)
+    qi = np.floor(q).astype(int)
+    pad = int(np.max(qi)) + 2
+    # The ends: c + q = jh + th and c - q = jl - tl with th, tl in [0, 1).
+    # Position p of the extended arrays holds node (p - pad) mod n; hi
+    # and lo are the positions of jh and jl - 1.
+    s = fc + fq
+    th = np.where(s >= 1.0, s - 1.0, s)
+    to_hi = pad + qi + (s >= 1.0)
+    d = fc - fq
+    tl = np.where(d > 0.0, 1.0 - d, -d)
+    to_lo = pad - qi - 1 + (d > 0.0)
+    if c is None:
+        hi, lo = slice(to_hi, to_hi + n), slice(to_lo, to_lo + n)
+    else:
+        ci = np.floor(c).astype(int) % n
+        hi, lo = ci + to_hi, ci + to_lo
+    ext = np.arange(-pad, n + pad)
+    # Prefix sums start at 0: bad_count[p], F[p] and E[p] sum the
+    # positions before p.
+    bad_count = np.zeros(ext.size + 1, dtype=int)
+    np.cumsum(np.take(~grid.defined, ext, mode="wrap"), out=bad_count[1:])
+    bad = bad_count[2:][hi] > bad_count[lo]
 
     v = np.where(grid.defined, grid.values, 0.0)
     mean = np.mean(v)
     w = np.take(v - mean, ext, mode="wrap")
     cells = 0.5 * (w[:-1] + w[1:])
-    F = np.concatenate(([0.0], np.cumsum(cells)))
+    F = np.zeros(w.size)
+    np.cumsum(cells, out=F[1:])
     # The exact rounding error of every step of the running sum, by
     # TwoSum, summed apart: F + E is the prefix to O(u^2).
     step = F[1:] - F[:-1]
-    E = np.concatenate(([0.0], np.cumsum((F[:-1] - (F[1:] - step))
-                                         + (cells - step))))
-    # F(i + q) - F(i - q): whole cells lo..hi plus the two end pieces.
-    span = (F[hi] - F[lo]) + (E[hi] - E[lo]) + r * (w[hi] + w[lo]) \
-        + 0.5 * r * r * (w[hi + 1] - w[hi] - w[lo] + w[lo - 1])
+    E = np.zeros(w.size)
+    np.cumsum((F[:-1] - (F[1:] - step)) + (cells - step), out=E[1:])
+    # Whole cells jl..jh plus the two end pieces.
+    w_hi, w_lo = w[hi], w[1:][lo]
+    span = (F[hi] - F[1:][lo]) + (E[hi] - E[1:][lo]) \
+        + (th * w_hi + tl * w_lo) \
+        + 0.5 * th * th * (w[1:][hi] - w_hi) + 0.5 * tl * tl * (w[lo] - w_lo)
     out = mean + span / (2.0 * q)
+    out[bad] = np.nan
+    return out
 
-    return GridFunction(values=np.where(bad, np.nan, out),
-                        defined=~bad,
+
+def kernel_filter_grid(grid: GridFunction, eps: float) -> GridFunction:
+    """Exact window average of the grid's piecewise-linear interpolant,
+    centred at every node (see `_interpolant_windows`).
+
+    Output nodes are undefined wherever an undefined input node lies
+    within floor(q) + 1 of them, q = eps / h.  The window must span at
+    least one grid cell.
+    """
+    if not (0.0 < eps <= math.pi):
+        raise DomainError(f"window half-width {eps} outside (0, pi]")
+    h = TWO_PI / grid.n
+    if eps < h:
+        raise EpsilonBelowResolution(
+            f"half-width {eps} below the grid spacing {h:.6g}; "
+            "the window would see no neighbouring node")
+    out = _interpolant_windows(grid, None, eps / h)
+    return GridFunction(values=out, defined=~np.isnan(out),
                         singular_points=grid.singular_points,
                         note=f"filtered(eps={eps:.17g}) {grid.note}".strip())
+
+
+def window_averages(f: EvaluatorFunction, thetas, eps,
+                    tol: float = DEFAULT_FILTER_TOL) -> np.ndarray:
+    """Window averages of f at centres `thetas` (N,) and half-widths
+    `eps` (m, N), one column per centre, NaN throughout where any of its
+    windows has no average.
+
+    Uses the evaluator's exact `window_average` when it has one, with
+    every window that meets a declared non-integrable point masked as
+    `kernel_filter_eval` refuses it; otherwise `kernel_filter_eval` at
+    quadrature tolerance `tol`.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if f.window_average is None:
+        out = np.full(eps.shape, np.nan)
+        for j, theta in enumerate(thetas):
+            try:
+                out[:, j] = [kernel_filter_eval(f, float(theta), float(e),
+                                                tol=tol) for e in eps[:, j]]
+            except (UndefinedHere, QuadratureFailure):
+                pass
+        return out
+    if not np.all((eps > 0.0) & (eps <= math.pi)):
+        raise DomainError("window half-widths must lie in (0, pi]")
+    out = f.window_average(thetas, eps)
+    for s in f.singular_points:
+        if not s.integrable:
+            out[circle_distance(thetas, s.theta) <= eps] = np.nan
+    out[:, np.isnan(out).any(axis=0)] = np.nan
+    return out
 
 
 def check_eps_schedule(eps_schedule) -> np.ndarray:
@@ -209,37 +259,44 @@ def check_eps_schedule(eps_schedule) -> np.ndarray:
     return es
 
 
-def extrapolated_limit(eps_values, samples):
-    """Shrinking-window limit from window averages at the given half-widths.
+def extrapolated_limits(eps, samples):
+    """Shrinking-window limits column by column, from window averages
+    `samples` (m, N) at half-widths `eps` of the same shape.
 
     Runs the even-power model (polynomial in eps^2, right for windows
     centred at smooth points) and the plain polynomial model (right at
     kinks, where odd powers appear) and keeps whichever one's own last
-    correction is smaller.  Raises NoConvergence when the winning
-    tableau's corrections grow instead of shrinking, or when an
-    unsettled tableau sits on samples with the concentrated-mass
-    signature (growth like 1/eps, which polynomial extrapolation fits
-    deceptively well).
+    correction is smaller.  Returns (values, corrections, settled), the
+    last correction of the kept model per column.  A column is not
+    settled when it holds NaN, when the kept tableau's corrections grow
+    instead of shrinking, or when an unsettled tableau sits on samples
+    with the concentrated-mass signature (growth like 1/eps, which
+    polynomial extrapolation fits deceptively well).
     """
-    es = np.asarray(eps_values, dtype=float)
-    vals = np.asarray(samples, dtype=float)
-    v_even, c_even = neville_to_zero(es * es, vals)
-    v_poly, c_poly = neville_to_zero(es, vals)
-    if c_poly[-1] < c_even[-1]:
-        value, corr = v_poly, c_poly
-    else:
-        value, corr = v_even, c_even
-    value = float(value)
-    if diverging(corr, value):
+    v_even, c_even = neville_to_zero(eps * eps, samples)
+    v_poly, c_poly = neville_to_zero(eps, samples)
+    poly = c_poly[-1] < c_even[-1]
+    values = np.where(poly, v_poly, v_even)
+    corr = np.where(poly, c_poly, c_even)
+    settled = np.isfinite(corr[-1]) & ~diverging(corr, values)
+    suspect = settled & (corr[-1] > 1e-3 * (1.0 + np.abs(values)))
+    mass_tol = 1e-9 * (1.0 + np.max(np.abs(samples), axis=0))
+    for j in np.flatnonzero(suspect):
+        settled[j] = not mass_signature(eps[:, j], samples[:, j], mass_tol[j])
+    return values, corr[-1], settled
+
+
+def extrapolated_limit(eps_values, samples):
+    """`extrapolated_limits` of one schedule: returns (value, correction)
+    and raises NoConvergence where that column is not settled."""
+    es = np.asarray(eps_values, dtype=float)[:, None]
+    vals = np.asarray(samples, dtype=float)[:, None]
+    values, corr, settled = extrapolated_limits(es, vals)
+    if not settled[0]:
         raise NoConvergence(
-            f"window averages do not settle: corrections "
-            f"{[float(c) for c in corr]}")
-    if float(corr[-1]) > 1e-3 * (1.0 + abs(value)) and mass_signature(
-            es, vals, 1e-9 * (1.0 + float(np.max(np.abs(vals))))):
-        raise NoConvergence(
-            "window averages grow like concentrated mass at the point "
-            f"(~1/eps): {[float(v) for v in vals]}")
-    return value, float(corr[-1])
+            "window averages do not settle (growing corrections or "
+            f"concentrated mass at the point): {vals[:, 0].tolist()}")
+    return float(values[0]), float(corr[0])
 
 
 def filter_limit(f: EvaluatorFunction, theta: float,
@@ -266,20 +323,14 @@ def filtered_derivative_limit(f: EvaluatorFunction, theta: float,
     where the endpoint differences blow up (one-sided jumps).
     """
     es = check_eps_schedule(eps_schedule)
-    vals = []
-    for e in es:
-        hi, lo = wrap_angle(theta + e), wrap_angle(theta - e)
-        for s in f.singular_points:
-            if circle_distance(hi, s.theta) < 1e-12 \
-                    or circle_distance(lo, s.theta) < 1e-12:
-                raise UndefinedHere(
-                    f"window endpoint at half-width {e} hits the singular "
-                    f"point {s.theta}")
-        dv = (f(hi) - f(lo)) / (2.0 * e)
-        if not np.isfinite(dv):
-            raise UndefinedHere(
-                f"no value at a window endpoint for half-width {e}")
-        vals.append(dv)
+    ends = wrap_angle(theta + np.array([es, -es]))
+    for s in f.singular_points:
+        if np.any(circle_distance(ends, s.theta) < 1e-12):
+            raise UndefinedHere(f"window endpoint on singular point {s.theta}")
+    hi, lo = f.sample(ends)
+    vals = (hi - lo) / (2.0 * es)
+    if not np.all(np.isfinite(vals)):
+        raise UndefinedHere("no value at a window endpoint")
     return extrapolated_limit(es, vals)
 
 
@@ -287,8 +338,9 @@ def grid_evaluator(grid: GridFunction) -> EvaluatorFunction:
     """Piecewise-linear periodic interpolant through the grid nodes.
 
     Between a defined node and an undefined one the interpolant has no
-    value.  Every node becomes a quadrature pin, so window averages of
-    the interpolant integrate it exactly piece by piece.
+    value.  Its window averages are exact (`_interpolant_windows`); every
+    node is also a quadrature pin, so that quadrature, their independent
+    reference, integrates it exactly piece by piece.
     """
     n = grid.n
     h = TWO_PI / n
@@ -305,8 +357,12 @@ def grid_evaluator(grid: GridFunction) -> EvaluatorFunction:
         bad = ~defined[i0] | ((t > 0) & ~defined[i1])
         return np.where(bad, np.nan, out)
 
+    def window_average(thetas, eps):
+        c = (wrap_angle(thetas) + math.pi) / h
+        return _interpolant_windows(grid, c, np.asarray(eps) / h)
+
     return EvaluatorFunction(
         rule=rule,
         singular_points=tuple(SingularPoint(s) for s in grid.singular_points),
         quadrature_pins=tuple(float(t) for t in grid.thetas()),
-        name="grid-interpolant")
+        name="grid-interpolant", window_average=window_average)

@@ -60,13 +60,15 @@ class IntervalMap:
         if not (0.0 < eps_canonical <= math.pi):
             raise DomainError(f"canonical half-width {eps_canonical} "
                               "outside (0, pi]")
-        return self.length / TWO_PI * eps_canonical
+        # The product can round an ulp past the half-length at pi.
+        return min(self.length / TWO_PI * eps_canonical, 0.5 * self.length)
 
     def epsilon_to_canonical(self, eps_physical: float) -> float:
         if not (0.0 < eps_physical <= 0.5 * self.length):
             raise DomainError(f"physical half-width {eps_physical} outside "
                               f"(0, {0.5 * self.length}]")
-        return TWO_PI / self.length * eps_physical
+        # The product can round an ulp past pi at the half-length.
+        return min(TWO_PI / self.length * eps_physical, math.pi)
 
 
 def _interval_map_of(g: EvaluatorFunction) -> IntervalMap:
@@ -152,8 +154,7 @@ def mask_boundary_windows(grid: GridFunction, eps: float) -> GridFunction:
     loses its value.
     """
     h = TWO_PI / grid.n
-    thetas = grid.thetas()
-    keep = circle_distance(thetas, math.pi) > eps + h
+    keep = circle_distance(grid.thetas(), math.pi) > eps + h
     return GridFunction(
         values=np.where(keep, grid.values, np.nan),
         defined=grid.defined & keep,

@@ -69,6 +69,9 @@ class EvaluatorFunction:
     them so no sample abscissa ever lands on one, which makes them
     invisible to every integral.  `quadrature_pins` are additional panel
     anchors with no analytic meaning, e.g. interpolation nodes.
+    `window_average`, when present, maps centres and half-widths (arrays)
+    to exact window averages, NaN where a window reads no value, which
+    `realfilter.window_averages` uses in place of quadrature.
     """
     rule: Callable
     singular_points: tuple = ()
@@ -76,6 +79,7 @@ class EvaluatorFunction:
     quadrature_pins: tuple = ()
     domain: tuple = (-math.pi, math.pi)
     name: str = ""
+    window_average: Optional[Callable] = None
 
     def __call__(self, theta):
         out = self.rule(np.asarray(theta, dtype=float))
@@ -87,7 +91,8 @@ class EvaluatorFunction:
         thetas = np.asarray(thetas, dtype=float)
         out = np.asarray(self.rule(thetas), dtype=float)
         if out.shape != thetas.shape:
-            out = np.array([self.rule(float(t)) for t in thetas], dtype=float)
+            out = np.array([self.rule(float(t)) for t in thetas.ravel()],
+                           dtype=float).reshape(thetas.shape)
         return out
 
     @property

@@ -148,6 +148,17 @@ class TestFilter:
         good = grid.defined
         assert np.max(np.abs(grid.values[good] - model[good])) < 1e-3
 
+    def test_the_half_length_is_the_widest_physical_window(self, tmp_path):
+        # 50 maps to a canonical pi exactly; every window reaches the
+        # seam, so every node is masked.
+        path, out = tmp_path / "g.csv", tmp_path / "out.csv"
+        write_grid(path, GridFunction(np.ones(64), np.ones(64, bool)))
+        assert cli.main(["filter", "--input", str(path), "--eps", "50",
+                         "--domain", "0,100", "--output", str(out)]) == 0
+        grid, domain = read_grid(out)
+        assert domain == (0.0, 100.0)
+        assert not grid.defined.any()
+
 
 class TestClassify:
     TOL = "1e-3"  # matched to what 256 piecewise-linear samples resolve
@@ -464,6 +475,17 @@ class TestGridRoutesRunNoQuadrature:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--input", "{plain}", "--n", "100", "--output",
          "{out}"],
+        ["classify", "--input", "{plain}", "--output", "{out}"],
+        ["classify", "--input", "{tagged}", "--output", "{out}"],
+        ["classify", "--input", "{holey}", "--output", "{out}"],
+        ["comb", "--input", "{plain}", "--method", "filter-limit",
+         "--output", "{out}"],
+        ["comb", "--input", "{tagged}", "--method", "filter-limit",
+         "--output", "{out}"],
+        ["comb", "--input", "{plain}", "--method", "filter-limit",
+         "--grid", "48", "--output", "{out}"],
+        ["comb", "--input", "{holey}", "--method", "filter-limit",
+         "--output", "{out}"],
         ["spectrum", "--input", "{tagged}", "--output", "{out}"],
         ["filter", "--input", "{plain}", "--eps", "0.3", "--output",
          "{out}"],
@@ -473,8 +495,11 @@ class TestGridRoutesRunNoQuadrature:
          "{out}"],
         ["comb", "--input", "{plain}", "--method", "disk", "--n", "64",
          "--rho-schedule", "0.6,0.65,0.7", "--output", "{out}"],
-    ], ids=["spectrum", "spectrum-tagged", "filter", "filter-tagged",
-            "comb-fourier", "comb-disk"])
+    ], ids=["spectrum", "classify", "classify-tagged", "classify-holey",
+            "comb-filter-limit", "comb-filter-limit-tagged",
+            "comb-filter-limit-regridded", "comb-filter-limit-holey",
+            "spectrum-tagged", "filter", "filter-tagged", "comb-fourier",
+            "comb-disk"])
     def test_grid_routes_succeed_without_quadrature(self, grids, argv):
         assert cli.main([a.format(**grids) for a in argv]) == 0
         assert grids["out"].exists()
@@ -690,6 +715,8 @@ class TestMalformedFiles:
          FILTER_GRID),
         ({"g.csv": csv_bytes(GOOD_CSV_ROWS), "g.csv.json": b'{"\xff": 1}'},
          FILTER_GRID),
+        ({"g.csv": csv_bytes(GOOD_CSV_ROWS),
+          "g.csv.json": b'{"note": {"x": [1, 2]}}'}, FILTER_GRID),
         ({"c.json": insert(reference_json(GOOD_COEFFS).encode(), 8,
                            b"\xff")}, EVAL_JSON),
         ({"c.json": b"[" * 5000}, EVAL_JSON),
@@ -697,6 +724,7 @@ class TestMalformedFiles:
          EVAL_JSON),
     ], ids=["theta-all-nan", "defined-2", "defined-minus-1",
             "value-digit-separator", "csv-not-utf8", "sidecar-not-utf8",
+            "sidecar-note-not-a-string",
             "json-not-utf8", "json-nested-too-deep", "json-integer-digits"])
     def test_loose_reads_and_tracebacks_exit_2(self, files, argv):
         run_refused(files, argv)

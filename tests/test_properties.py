@@ -112,6 +112,7 @@ class TestIntervalMaps:
 
     @given(st.floats(1e-3, 200.0, allow_nan=False),
            st.floats(1e-6, math.pi, allow_nan=False))
+    @example(length=7.0, eps=math.pi)
     def test_width_maps_are_inverse(self, length, eps):
         m = IntervalMap(0.0, length)
         back = m.epsilon_to_canonical(m.epsilon_map(eps))

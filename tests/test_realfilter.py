@@ -1,6 +1,7 @@
 """Window averages on the circle: kernel, multiplier and grid routes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from circlecomb.realfilter import (
     kernel_filter_eval,
     kernel_filter_grid,
     multiplier_filter,
+    window_averages,
 )
+from circlecomb.rescale import IntervalMap, grid_pullback_evaluator
 from circlecomb.spectrum import (CoefficientSequence, EvaluatorFunction,
                                  SingularPoint, compute_coefficients,
                                  grid_nodes)
@@ -200,6 +203,40 @@ def test_grid_filter_matches_interpolant_quadrature(rng, n_nodes):
         got = kernel_filter_grid(g, eps).values
         ref = np.array([kernel_filter_eval(f, t, eps) for t in g.thetas()])
         assert np.max(np.abs(got - ref)) <= bound, eps
+
+
+@pytest.mark.parametrize("domain", [None, (0.0, 10.0)],
+                         ids=["plain", "domain-tagged"])
+@pytest.mark.parametrize("n_nodes", [16, 128, 384])
+def test_grid_windows_match_interpolant_quadrature(rng, n_nodes, domain):
+    # One window per centre, narrower than a cell, over data with holes.
+    v = 3.0 * rng.standard_normal(n_nodes) + rng.uniform(-5.0, 5.0)
+    defined = rng.uniform(size=n_nodes) > 0.1
+    g = GridFunction(values=np.where(defined, v, np.nan), defined=defined)
+    f = grid_evaluator(g) if domain is None \
+        else grid_pullback_evaluator(g, IntervalMap(*domain))
+    h = 2 * PI / n_nodes
+    # Centres anywhere, and within a cell of the seam on both sides.
+    thetas = np.concatenate([rng.uniform(-PI, PI, 150),
+                             -PI + rng.uniform(0.0, h, 10),
+                             PI - rng.uniform(0.0, h, 10)])
+    eps = rng.uniform(0.01, 1.0, (1, thetas.size)) * h
+    got = window_averages(f, thetas, eps)[0]
+    ref = window_averages(replace(f, window_average=None), thetas, eps)[0]
+
+    # A window has no average when any node in ceil(c - q) - 1 ..
+    # floor(c + q) + 1 is undefined, c and q in cells; the seam of
+    # interval data adds the windows that reach it.
+    c, q = (thetas + PI) / h, eps[0] / h
+    reads = [np.arange(math.ceil(a) - 1, math.floor(b) + 2) % n_nodes
+             for a, b in zip(c - q, c + q)]
+    undefined = np.array([not defined[r].all() for r in reads])
+    if domain is not None:
+        undefined |= (thetas - eps[0] <= -PI) | (thetas + eps[0] >= PI)
+    assert np.array_equal(np.isnan(got), undefined)
+    assert not np.isnan(ref[~undefined]).any()
+    bound = 1e-12 * (1.0 + np.max(np.abs(v)))
+    assert np.max(np.abs(got - ref)[~undefined]) <= bound
 
 
 def test_grid_filter_keeps_declarations_and_notes():
