@@ -261,6 +261,11 @@ def _finite_list(raw, what):
     raise DomainError(f"{what} must be a list of finite numbers")
 
 
+def _loose_flag(path, row, flag) -> DomainError:
+    return DomainError(f"{path}: row {row}: defined must be 0 or 1, "
+                       f"got {flag}")
+
+
 def read_grid(path):
     """Load a grid CSV (and sidecar when present).
 
@@ -287,8 +292,7 @@ def read_grid(path):
     flags = rows["defined"]
     loose = np.flatnonzero((flags != 0) & (flags != 1))
     if loose.size:
-        raise DomainError(f"{path}: row {loose[0] + 1}: defined must be 0 "
-                          f"or 1, got {flags[loose[0]]}")
+        raise _loose_flag(path, loose[0] + 1, flags[loose[0]])
     # Written so that a NaN theta fails it.
     if not np.all(np.abs(rows["theta"] - grid_nodes(n)) <= 1e-9):
         raise DomainError(f"{path}: nodes are not the uniform symmetric "

@@ -109,10 +109,10 @@ def kernel_filter_eval(f: EvaluatorFunction, theta: float, eps: float,
                 f"non-integrable singular point at {s.theta} inside the "
                 f"window of half-width {eps} around {theta}")
 
-    # The 2-pi translates of the pins strictly inside the window.
+    # The pins and their 2-pi translates; `_quad` keeps those inside.
     pins = np.add.outer(f.pin_points(), TWO_PI * np.array([-1, 0, 1]))
     value, _ = _quad.integrate(lambda x: f.sample(wrap_angle(x)), lo, hi,
-                               pins=np.unique(pins[(lo < pins) & (pins < hi)]),
+                               pins=np.unique(pins),
                                tol=tol * 2.0 * eps)
     return value / (2.0 * eps)
 
@@ -142,32 +142,39 @@ def _interpolant_windows(grid: GridFunction, c, q):
     (Higham 2002, sec. 4.2), which a difference of two prefixes
     inherits, so the sum is compensated (sec. 4.3): the average errs by
     a few u times the mean of |v - mean(v)| over the window, for any
-    grid size.  The end pieces take their fractions from the fractional
-    parts of c and q, never from c +- q, which on a large grid rounds
-    by an ulp of the node index.
+    grid size.
+
+    Each window is placed from the node r nearest its centre, c = r + a
+    with a exact, its ends at r + floor(q) + (a + frac(q)) and
+    r - floor(q) + (a - frac(q)).  So the end pieces' fractions are
+    exact to an ulp of the window's width, never to an ulp of c +- q,
+    which on a large grid is an ulp of the node index.  A window inside
+    one cell averages a linear piece, and is its value at c: the whole
+    cell less two end pieces would cancel to an error of u |v| / q.
 
     A window reads the nodes ceil(c - q) - 1 .. floor(c + q) + 1 and
     has no average when any of them is undefined.
     """
     n = grid.n
-    fc = 0.0 if c is None else c - np.floor(c)
-    fq = q - np.floor(q)
+    if c is not None:
+        c, q = np.broadcast_arrays(c, q)
     qi = np.floor(q).astype(int)
-    pad = int(np.max(qi)) + 2
+    fq = q - qi
+    pad = int(np.max(qi, initial=0)) + 2
+    r = 0 if c is None else np.rint(c)
+    a = 0.0 if c is None else c - r
     # The ends: c + q = jh + th and c - q = jl - tl with th, tl in [0, 1).
     # Position p of the extended arrays holds node (p - pad) mod n; hi
     # and lo are the positions of jh and jl - 1.
-    s = fc + fq
-    th = np.where(s >= 1.0, s - 1.0, s)
-    to_hi = pad + qi + (s >= 1.0)
-    d = fc - fq
-    tl = np.where(d > 0.0, 1.0 - d, -d)
-    to_lo = pad - qi - 1 + (d > 0.0)
+    s, d = a + fq, a - fq
+    th, tl = s - np.floor(s), np.ceil(d) - d
+    to_hi = pad + qi + np.floor(s).astype(int)
+    to_lo = pad - qi - 1 + np.ceil(d).astype(int)
     if c is None:
         hi, lo = slice(to_hi, to_hi + n), slice(to_lo, to_lo + n)
     else:
-        ci = np.floor(c).astype(int) % n
-        hi, lo = ci + to_hi, ci + to_lo
+        r = r.astype(int) % n
+        hi, lo = r + to_hi, r + to_lo
     ext = np.arange(-pad, n + pad)
     # Prefix sums start at 0: bad_count[p], F[p] and E[p] sum the
     # positions before p.
@@ -192,6 +199,10 @@ def _interpolant_windows(grid: GridFunction, c, q):
         + (th * w_hi + tl * w_lo) \
         + 0.5 * th * th * (w[1:][hi] - w_hi) + 0.5 * tl * tl * (w[lo] - w_lo)
     out = mean + span / (2.0 * q)
+    if c is not None:
+        inside = (qi == 0) & (np.abs(a) > fq)
+        p, side = pad + r[inside], np.sign(a[inside]).astype(int)
+        out[inside] = mean + (w[p] + np.abs(a[inside]) * (w[p + side] - w[p]))
     out[bad] = np.nan
     return out
 
@@ -323,14 +334,20 @@ def filtered_derivative_limit(f: EvaluatorFunction, theta: float,
     where the endpoint differences blow up (one-sided jumps).
     """
     es = check_eps_schedule(eps_schedule)
-    ends = wrap_angle(theta + np.array([es, -es]))
-    for s in f.singular_points:
-        if np.any(circle_distance(ends, s.theta) < 1e-12):
-            raise UndefinedHere(f"window endpoint on singular point {s.theta}")
-    hi, lo = f.sample(ends)
-    vals = (hi - lo) / (2.0 * es)
-    if not np.all(np.isfinite(vals)):
-        raise UndefinedHere("no value at a window endpoint")
+    vals = []
+    for e in es:
+        hi, lo = wrap_angle(theta + e), wrap_angle(theta - e)
+        for s in f.singular_points:
+            if circle_distance(hi, s.theta) < 1e-12 \
+                    or circle_distance(lo, s.theta) < 1e-12:
+                raise UndefinedHere(
+                    f"window endpoint at half-width {e} hits the singular "
+                    f"point {s.theta}")
+        dv = (f(hi) - f(lo)) / (2.0 * e)
+        if not np.isfinite(dv):
+            raise UndefinedHere(
+                f"no value at a window endpoint for half-width {e}")
+        vals.append(dv)
     return extrapolated_limit(es, vals)
 
 

@@ -154,7 +154,8 @@ def mask_boundary_windows(grid: GridFunction, eps: float) -> GridFunction:
     loses its value.
     """
     h = TWO_PI / grid.n
-    keep = circle_distance(grid.thetas(), math.pi) > eps + h
+    thetas = grid.thetas()
+    keep = circle_distance(thetas, math.pi) > eps + h
     return GridFunction(
         values=np.where(keep, grid.values, np.nan),
         defined=grid.defined & keep,

@@ -504,6 +504,17 @@ class TestGridRoutesRunNoQuadrature:
         assert cli.main([a.format(**grids) for a in argv]) == 0
         assert grids["out"].exists()
 
+    def test_a_grid_without_values_classifies_undefined(self, tmp_path):
+        blank = tmp_path / "blank.csv"
+        write_grid(blank, GridFunction(np.full(16, np.nan),
+                                       np.zeros(16, bool)))
+        report = tmp_path / "report.json"
+        assert cli.main(["classify", "--input", str(blank),
+                         "--output", str(report)]) == 0
+        nodes = json.loads(report.read_text())["nodes"]
+        assert len(nodes) == 16
+        assert {node["verdict"] for node in nodes} == {"undefined"}
+
     @pytest.mark.parametrize("method", ["fourier", "disk"])
     def test_interval_grids_have_no_series(self, grids, capsys, method):
         assert cli.main(["comb", "--input", str(grids["tagged"]),

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,6 +238,49 @@ def test_grid_windows_match_interpolant_quadrature(rng, n_nodes, domain):
     assert not np.isnan(ref[~undefined]).any()
     bound = 1e-12 * (1.0 + np.max(np.abs(v)))
     assert np.max(np.abs(got - ref)[~undefined]) <= bound
+
+
+def _exact_interpolant_average(v, c, q):
+    """Average of the periodic interpolant through v over the index
+    window [c - q, c + q], in exact rational arithmetic."""
+    n = v.size
+    lo, hi = Fraction(c) - Fraction(q), Fraction(c) + Fraction(q)
+
+    def at(x):
+        i = math.floor(x)
+        return Fraction(v[i % n]) * (1 - (x - i)) \
+            + Fraction(v[(i + 1) % n]) * (x - i)
+
+    ends = [lo, *range(math.floor(lo) + 1, math.ceil(hi)), hi]
+    return sum((b - a) * (at(a) + at(b)) / 2
+               for a, b in zip(ends[:-1], ends[1:])) / (2 * Fraction(q))
+
+
+@pytest.mark.parametrize("n_nodes", [16, 384])
+def test_narrow_grid_windows_are_exact(rng, n_nodes):
+    # Windows down to 1e-8 cells, also centred within 1e-9 cells of a
+    # node on either side, where a window inside one cell and one across
+    # a node meet.  Quadrature is no reference here: its window's width
+    # rounds by an ulp of the centre, which is 1e-8 of such a width.
+    v = 3.0 * rng.standard_normal(n_nodes) + rng.uniform(-5.0, 5.0)
+    defined = rng.uniform(size=n_nodes) > 0.1
+    g = GridFunction(values=np.where(defined, v, np.nan), defined=defined)
+    h = 2 * PI / n_nodes
+    nodes = g.thetas()[rng.integers(0, n_nodes, 80)]
+    thetas = np.concatenate([rng.uniform(-PI, PI, 40),
+                             nodes + rng.uniform(-1e-9, 1e-9, 80) * h])
+    eps = 10.0 ** rng.uniform(-8.0, 0.0, (1, thetas.size)) * h
+    got = window_averages(grid_evaluator(g), thetas, eps)[0]
+
+    c, q = (thetas + PI) / h, eps[0] / h
+    reads = [np.arange(math.ceil(a) - 1, math.floor(b) + 2) % n_nodes
+             for a, b in zip(c - q, c + q)]
+    undefined = np.array([not defined[r].all() for r in reads])
+    assert np.array_equal(np.isnan(got), undefined)
+    ref = np.array([float(_exact_interpolant_average(v, a, b))
+                    for a, b in zip(c[~undefined], q[~undefined])])
+    bound = 1e-12 * (1.0 + np.max(np.abs(v)))
+    assert np.max(np.abs(got[~undefined] - ref)) <= bound
 
 
 def test_grid_filter_keeps_declarations_and_notes():
