@@ -11,6 +11,7 @@ until two consecutive levels agree to the requested tolerance.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -19,7 +20,12 @@ from .errors import QuadratureFailure
 GAUSS_ORDER = 16
 MAX_DOUBLINGS = 12
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+@cache
+def _gauss_rule():
+    """Reference nodes and weights on [-1, 1], built on first use so that
+    import loads no `numpy.polynomial`; shared, so never written to."""
+    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 def _panel_samples(edges):
@@ -27,11 +33,12 @@ def _panel_samples(edges):
 
     Returns (x, w) flat arrays of sample abscissae and weights.
     """
+    nodes, weights = _gauss_rule()
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
     mid = lo + half
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    w = half[:, None] * _WEIGHTS[None, :]
+    x = mid[:, None] + half[:, None] * nodes[None, :]
+    w = half[:, None] * weights[None, :]
     return x.ravel(), w.ravel()
 
 

@@ -22,15 +22,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._extrap import mass_signature, neville_to_zero
-from .catalog import make
-from .disk import DEFAULT_DELTA_SCHEDULE, boundary_value_grid
 from .errors import CircleCombError, DomainError
-from .realfilter import (DEFAULT_EPS_SCHEDULE, GridFunction,
-                         check_eps_schedule, extrapolated_limits,
-                         window_averages)
+from .realfilter import (DEFAULT_EPS_SCHEDULE, check_eps_schedule,
+                         extrapolated_limits, window_averages)
 from .spectrum import (DEFAULT_N, CoefficientSequence, EvaluatorFunction,
-                       circle_distance, compute_coefficients, grid_nodes,
-                       partial_sum_grid, sinc, wrap_angle)
+                       GridFunction, circle_distance, compute_coefficients,
+                       grid_nodes, partial_sum_grid, sinc, wrap_angle)
 
 COMBED = "combed"
 RAGGED = "ragged"
@@ -240,6 +237,7 @@ def _generator_singulars(seq: CoefficientSequence) -> tuple:
     """
     if seq.generator is None:
         return ()
+    from .catalog import make
     try:
         entry = make(seq.generator["name"], **seq.generator["params"])
     except (CircleCombError, KeyError, TypeError):
@@ -289,12 +287,16 @@ def comb_by_fourier(f: EvaluatorFunction, n: int = DEFAULT_N,
 
 
 def comb_by_disk(seq: CoefficientSequence, n_grid: int = 256,
-                 delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE
+                 delta_schedule: Optional[Sequence[float]] = None
                  ) -> GridFunction:
     """Comb through the disk route: radial boundary values at the nodes.
 
     Nodes whose ring values blow up (boundary singular points) are left
-    undefined in the mask."""
+    undefined in the mask; no schedule means disk.DEFAULT_DELTA_SCHEDULE.
+    """
+    from .disk import DEFAULT_DELTA_SCHEDULE, boundary_value_grid
+    if delta_schedule is None:
+        delta_schedule = DEFAULT_DELTA_SCHEDULE
     thetas = grid_nodes(n_grid)
     values, _, defined = boundary_value_grid(seq, thetas, delta_schedule)
     return GridFunction(values=values, defined=defined,

@@ -14,24 +14,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import catalog, classify, formats, rescale
-from .disk import (DEFAULT_DELTA_SCHEDULE, boundary_value_grid, eval_ring,
-                   from_coefficients)
+from . import formats
 from .errors import (BadParams, CircleCombError, DivergenceDetected,
                      DomainError, EpsilonBelowResolution, NoConvergence,
                      NonIntegrableInput, NotAvailable, OutOfDomain,
                      QuadratureFailure, UndefinedHere, UnknownName)
-from .realfilter import (DEFAULT_EPS_SCHEDULE, GridFunction, grid_evaluator,
-                         kernel_filter_grid, multiplier_filter)
-from .spectrum import DEFAULT_N, grid_coefficients, grid_nodes
+from .spectrum import DEFAULT_N, GridFunction, grid_coefficients, grid_nodes
 
 _USAGE_ERRORS = (DomainError, OutOfDomain, BadParams, UnknownName,
                  NotAvailable, EpsilonBelowResolution)
 _NUMERIC_ERRORS = (QuadratureFailure, NonIntegrableInput, NoConvergence,
                    DivergenceDetected, UndefinedHere)
 
-# Catalog parameters exposed as flags; only flags the user actually set
-# are forwarded, so catalog defaults stay in one place.
+# Catalog parameters exposed as flags.
 _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
                   "base", "point", "value")
 
@@ -95,9 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="combed/ragged report for a grid "
                                         "(or certificate for coefficients)")
     p.add_argument("--input", required=True)
-    p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list,
-                   default=DEFAULT_EPS_SCHEDULE)
-    p.add_argument("--tol", type=float, default=classify.DEFAULT_TOL)
+    p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list)
+    p.add_argument("--tol", type=float)
     p.add_argument("--output", help="report JSON path (default stdout)")
 
     p = sub.add_parser("comb", help="compute the limit function on a grid")
@@ -108,8 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "(default: input size)")
     p.add_argument("--n", type=int, default=DEFAULT_N,
                    help="truncation order for fourier/disk on grid input")
-    p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list,
-                   default=DEFAULT_EPS_SCHEDULE)
+    p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list)
     p.add_argument("--rho-schedule", dest="rho_schedule", type=_float_list,
                    help="radii increasing toward 1 for the disk route")
     p.add_argument("--output", required=True)
@@ -133,8 +126,10 @@ def _check_size(flag, value, least):
                           f"got {value}")
 
 
-def _catalog_params(args) -> dict:
-    return {key: getattr(args, key) for key in _CATALOG_FLAGS
+def _given(args, flags) -> dict:
+    """The `flags` the user set.  Only these are forwarded, so defaults
+    stay in the module that runs them, and the parser loads none."""
+    return {key: getattr(args, key) for key in flags
             if getattr(args, key, None) is not None}
 
 
@@ -145,12 +140,13 @@ def _is_json(path: str) -> bool:
 def _grid_interpolant(grid, domain):
     """The grid's evaluator; seam-aware for interval data."""
     if domain is None:
+        from .realfilter import grid_evaluator
         return grid_evaluator(grid)
-    return rescale.grid_pullback_evaluator(grid, rescale.IntervalMap(*domain))
+    from .rescale import IntervalMap, grid_pullback_evaluator
+    return grid_pullback_evaluator(grid, IntervalMap(*domain))
 
 
-def _write_report(report, path):
-    doc = formats.report_to_doc(report)
+def _write_doc(doc, path):
     if path:
         formats.save_json(path, doc)
     else:
@@ -163,18 +159,15 @@ def cmd_spectrum(args) -> int:
                           "and --input")
     _check_size("--n", args.n, 1)
     if args.catalog is not None:
-        entry = catalog.make(args.catalog, **_catalog_params(args))
+        from .catalog import make
+        entry = make(args.catalog, **_given(args, _CATALOG_FLAGS))
         seq = entry.coefficients(args.n)
     else:
         # Interval data is periodized: its seam jump becomes one more
         # piece of the interpolant.
         grid, _ = formats.read_grid(args.input)
         seq = grid_coefficients(grid.values, args.n)
-    doc = formats.coefficients_to_doc(seq)
-    if args.output:
-        formats.save_json(args.output, doc)
-    else:
-        sys.stdout.write(formats.dumps_json(doc) + "\n")
+    _write_doc(formats.coefficients_to_doc(seq), args.output)
     return 0
 
 
@@ -183,6 +176,7 @@ def cmd_filter(args) -> int:
         if args.method == "kernel":
             raise DomainError("kernel filtering needs grid input; "
                               "coefficient JSON uses --method multiplier")
+        from .realfilter import multiplier_filter
         seq = formats.load_coefficients(args.input)
         formats.save_coefficients(args.output,
                                   multiplier_filter(seq, args.eps))
@@ -194,8 +188,10 @@ def cmd_filter(args) -> int:
     if args.domain is not None:
         domain = _domain_pair(args.domain)
     if domain is not None:
-        out = rescale.filter_physical_grid(grid, domain, args.eps)
+        from .rescale import filter_physical_grid
+        out = filter_physical_grid(grid, domain, args.eps)
     else:
+        from .realfilter import kernel_filter_grid
         out = kernel_filter_grid(grid, args.eps)
     formats.write_grid(args.output, out, domain=domain)
     return 0
@@ -206,22 +202,23 @@ def _domain_pair(vals):
     if len(vals) != 2:
         raise DomainError(f"--domain needs exactly a,b, got {len(vals)} "
                           "numbers")
-    chart = rescale.IntervalMap(*vals)
+    from .rescale import IntervalMap
+    chart = IntervalMap(*vals)
     return (chart.a, chart.b)
 
 
 def cmd_classify(args) -> int:
+    from . import classify
     if _is_json(args.input):
         cert = classify.classify_coefficients(
             formats.load_coefficients(args.input))
-        _write_report(classify.certificate_report(cert), args.output)
-        return 0
-    grid, domain = formats.read_grid(args.input)
-    report = classify.classify_pointwise(_grid_interpolant(grid, domain),
-                                         n_grid=grid.n,
-                                         eps_schedule=args.eps_schedule,
-                                         tol=args.tol)
-    _write_report(report, args.output)
+        report = classify.certificate_report(cert)
+    else:
+        grid, domain = formats.read_grid(args.input)
+        report = classify.classify_pointwise(
+            _grid_interpolant(grid, domain), n_grid=grid.n,
+            **_given(args, ("eps_schedule", "tol")))
+    _write_doc(formats.report_to_doc(report), args.output)
     return 0
 
 
@@ -233,6 +230,7 @@ def _deltas_from_rhos(rhos) -> tuple:
 
 
 def cmd_comb(args) -> int:
+    from . import classify
     _check_size("--n", args.n, 1)
     if args.grid is not None:
         _check_size("--grid", args.grid, 2)
@@ -255,7 +253,7 @@ def cmd_comb(args) -> int:
             raise DomainError("filter-limit combing needs grid input")
         out = classify.comb_by_filter_limit(_grid_interpolant(grid, domain),
                                             n_grid,
-                                            eps_schedule=args.eps_schedule)
+                                            **_given(args, ("eps_schedule",)))
     elif args.method == "fourier":
         result = classify.comb_from_coefficients(
             seq, n_grid, singular_points=None if grid is None
@@ -264,7 +262,7 @@ def cmd_comb(args) -> int:
         if result.non_convergent:
             out = replace(out, note=out.note + " NonConvergent")
     else:
-        deltas = DEFAULT_DELTA_SCHEDULE if args.rho_schedule is None \
+        deltas = None if args.rho_schedule is None \
             else _deltas_from_rhos(args.rho_schedule)
         out = classify.comb_by_disk(seq, n_grid, delta_schedule=deltas)
     formats.write_grid(args.output, out)
@@ -275,6 +273,7 @@ def cmd_eval(args) -> int:
     if (args.rho is None) == (args.rho_schedule is None):
         raise DomainError("eval needs exactly one of --rho and "
                           "--rho-schedule")
+    from .disk import boundary_value_grid, eval_ring, from_coefficients
     _check_size("--grid", args.grid, 2)
     domain = _domain_pair(args.domain) if args.domain is not None else None
     seq = formats.load_coefficients(args.input)

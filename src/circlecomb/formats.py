@@ -27,8 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DomainError
-from .realfilter import GridFunction
-from .spectrum import CoefficientSequence, grid_nodes
+from .spectrum import CoefficientSequence, GridFunction, grid_nodes
 
 _GRID_HEADER = "theta,value,defined"
 _GRID_ROW = "%.17g,%.17g,%d\n"

@@ -19,56 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _quad
 from ._extrap import diverging, mass_signature, neville_to_zero
 from .errors import (DomainError, EpsilonBelowResolution, NoConvergence,
                      QuadratureFailure, UndefinedHere)
 from .spectrum import (TWO_PI, CoefficientSequence, EvaluatorFunction,
-                       SingularPoint, circle_distance, grid_nodes, sinc,
+                       GridFunction, SingularPoint, circle_distance, sinc,
                        wrap_angle)
 
 DEFAULT_EPS_SCHEDULE = (0.2, 0.1, 0.05, 0.025)
 
 DEFAULT_FILTER_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Sampled values on the uniform symmetric grid of `grid_nodes`.
-
-    `defined` marks nodes carrying a value; values are NaN elsewhere and
-    must be finite wherever defined.  `singular_points` carries declared
-    jump/kink angles through grid-level operations (grids cannot encode
-    non-integrable points, their values are finite by construction).
-    """
-
-    values: np.ndarray
-    defined: np.ndarray
-    singular_points: tuple = ()
-    note: str = ""
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        d = np.array(self.defined, dtype=bool)
-        if v.ndim != 1 or v.shape != d.shape or v.size < 2:
-            raise DomainError("grid needs matching 1-D values and mask, "
-                              "at least 2 nodes")
-        if not np.all(np.isfinite(v[d])):
-            raise DomainError("grid values must be finite wherever defined")
-        v[~d] = np.nan
-        v.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "defined", d)
-        object.__setattr__(self, "singular_points",
-                           tuple(float(s) for s in self.singular_points))
-
-    @property
-    def n(self):
-        return self.values.size
-
-    def thetas(self):
-        return grid_nodes(self.n)
 
 
 @dataclass(frozen=True)
@@ -110,11 +70,12 @@ def kernel_filter_eval(f: EvaluatorFunction, theta: float, eps: float,
                 f"window of half-width {eps} around {theta}")
 
     # The pins and their 2-pi translates; `_quad` keeps those inside.
+    # The width is hi - lo as computed: 2 eps can be an ulp(theta) off.
+    from . import _quad
     pins = np.add.outer(f.pin_points(), TWO_PI * np.array([-1, 0, 1]))
     value, _ = _quad.integrate(lambda x: f.sample(wrap_angle(x)), lo, hi,
-                               pins=np.unique(pins),
-                               tol=tol * 2.0 * eps)
-    return value / (2.0 * eps)
+                               pins=np.unique(pins), tol=tol * (hi - lo))
+    return value / (hi - lo)
 
 
 def multiplier_filter(seq: CoefficientSequence, eps: float) -> CoefficientSequence:

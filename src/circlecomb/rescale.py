@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _quad
 from .errors import DomainError, OutOfDomain, UndefinedHere
-from .realfilter import GridFunction, grid_evaluator, kernel_filter_grid
-from .spectrum import (TWO_PI, EvaluatorFunction, SingularPoint,
-                       circle_distance, wrap_angle)
+from .realfilter import grid_evaluator, kernel_filter_grid
+from .spectrum import (TWO_PI, EvaluatorFunction, GridFunction,
+                       SingularPoint, circle_distance, wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,10 @@ def transport_filter(g: EvaluatorFunction, x: float, eps_physical: float,
                 f"non-integrable singular point at {s.theta} inside "
                 f"the window around {x}")
     pins = tuple(sorted(p for p in g.pin_points() if lo < p < hi))
+    from . import _quad
     value, _ = _quad.integrate(lambda u: g.sample(u), lo, hi, pins=pins,
-                               tol=tol * 2.0 * eps_physical)
-    return value / (2.0 * eps_physical)
+                               tol=tol * (hi - lo))
+    return value / (hi - lo)
 
 
 def grid_pullback_evaluator(grid: GridFunction, m: IntervalMap

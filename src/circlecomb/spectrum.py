@@ -1,4 +1,4 @@
-"""Coefficient sequences of periodic functions and operations on them.
+"""Coefficient sequences and grid samples of periodic functions.
 
 Conventions used across the whole package:
 
@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _quad
 from .errors import DomainError, NonIntegrableInput, UndefinedHere
 
 TWO_PI = 2.0 * math.pi
@@ -148,6 +147,44 @@ class CoefficientSequence:
         return np.arange(1, self.n + 1, dtype=float)
 
 
+@dataclass(frozen=True)
+class GridFunction:
+    """Sampled values on the uniform symmetric grid of `grid_nodes`.
+
+    `defined` marks nodes carrying a value; values are NaN elsewhere and
+    must be finite wherever defined.  `singular_points` carries declared
+    jump/kink angles through grid-level operations (grids cannot encode
+    non-integrable points, their values are finite by construction).
+    """
+    values: np.ndarray
+    defined: np.ndarray
+    singular_points: tuple = ()
+    note: str = ""
+
+    def __post_init__(self):
+        v = np.array(self.values, dtype=float)
+        d = np.array(self.defined, dtype=bool)
+        if v.ndim != 1 or v.shape != d.shape or v.size < 2:
+            raise DomainError("grid needs matching 1-D values and mask, "
+                              "at least 2 nodes")
+        if not np.all(np.isfinite(v[d])):
+            raise DomainError("grid values must be finite wherever defined")
+        v[~d] = np.nan
+        v.setflags(write=False)
+        d.setflags(write=False)
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "defined", d)
+        object.__setattr__(self, "singular_points",
+                           tuple(float(s) for s in self.singular_points))
+
+    @property
+    def n(self):
+        return self.values.size
+
+    def thetas(self):
+        return grid_nodes(self.n)
+
+
 def from_complex(a0, c):
     """Inverse of complex_view: rebuild (a, b) from c_k = a_k - i b_k."""
     c = np.asarray(c, dtype=complex)
@@ -203,6 +240,7 @@ def compute_coefficients(f, n=DEFAULT_N, panels_per_interval=4,
             out[1 + n + k0:1 + n + k0 + k.size] = np.sin(kx) @ fw / math.pi
         return out
 
+    from . import _quad
     values, estimate = _quad.refine(level, lo, hi, pins=f.pin_points(),
                                     tol=tol, base_panels=panels_per_interval)
     return CoefficientSequence(a0=values[0], a=values[1:n + 1],

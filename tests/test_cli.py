@@ -1,6 +1,7 @@
 """End-to-end command-line checks, file formats included."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circlecomb._quad
-from circlecomb import cli
+from circlecomb import classify, cli, disk, realfilter, spectrum
 from circlecomb.catalog import make
 from circlecomb.formats import (
     load_coefficients,
@@ -697,6 +698,61 @@ def malformed_coefficient_json(draw):
     doc = json.loads(json.dumps(GOOD_COEFFS))
     doc["terms"] = doc["terms"][:draw(st.integers(0, 2))]
     return reference_json(doc).encode()
+
+
+class TestDefaultsComeFromTheLibrary:
+    """A flag left unset runs with the constant of the module that uses
+    it, so the CLI and the library never disagree on a default."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        """Record each call's arguments, defaults filled in."""
+        calls, real = [], getattr(module, name)
+
+        def record(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+        return calls
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        write_grid(tmp_path / "cos.csv",
+                   GridFunction(np.cos(grid_nodes(32)), np.ones(32, bool)))
+        save_coefficients(tmp_path / "cos.json",
+                          make("cosine", k=1).coefficients(8))
+        return tmp_path
+
+    def test_truncation_order(self):
+        parser = cli._build_parser()
+        for argv in (["spectrum", "--catalog", "cosine"],
+                     ["comb", "--input", "g.csv", "--method", "fourier",
+                      "--output", "o.csv"]):
+            assert parser.parse_args(argv).n == spectrum.DEFAULT_N
+
+    def test_classify_tolerance_and_schedule(self, inputs, monkeypatch):
+        calls = self.spy(monkeypatch, classify, "classify_pointwise")
+        assert cli.main(["classify", "--input", str(inputs / "cos.csv"),
+                         "--output", str(inputs / "r.json")]) == 0
+        assert calls[0]["tol"] == classify.DEFAULT_TOL
+        assert calls[0]["eps_schedule"] == realfilter.DEFAULT_EPS_SCHEDULE
+
+    def test_filter_limit_schedule(self, inputs, monkeypatch):
+        calls = self.spy(monkeypatch, classify, "comb_by_filter_limit")
+        assert cli.main(["comb", "--input", str(inputs / "cos.csv"),
+                         "--method", "filter-limit",
+                         "--output", str(inputs / "l.csv")]) == 0
+        assert calls[0]["eps_schedule"] == realfilter.DEFAULT_EPS_SCHEDULE
+
+    def test_disk_schedule(self, inputs, monkeypatch):
+        calls = self.spy(monkeypatch, disk, "boundary_value_grid")
+        assert cli.main(["comb", "--input", str(inputs / "cos.json"),
+                         "--method", "disk",
+                         "--output", str(inputs / "d.csv")]) == 0
+        assert calls[0]["delta_schedule"] == disk.DEFAULT_DELTA_SCHEDULE
 
 
 class TestMalformedFiles:

@@ -49,6 +49,15 @@ def test_kernel_filter_fixes_constants():
                                                                 abs=1e-12)
 
 
+@pytest.mark.parametrize("theta", [3.0, 1.0, -2.5])
+def test_kernel_filter_divides_by_the_computed_width(theta):
+    # theta +- 1e-9 spans 2e-9 only to an ulp of theta, which is 8e-8
+    # of the window at theta = 3: the average must use hi - lo.
+    f = EvaluatorFunction(rule=np.ones_like)
+    got = kernel_filter_eval(f, theta, 1e-9)
+    assert abs(got - 1.0) <= 4 * np.spacing(1.0)
+
+
 def test_kernel_filter_of_cosine_matches_closed_form():
     f = EvaluatorFunction(rule=np.cos)
     assert kernel_filter_eval(f, 0.0, 0.1) == pytest.approx(

@@ -118,6 +118,12 @@ class TestTransportFilter:
             domain=(0.0, 10.0))
         assert transport_filter(c, 7.0, 0.25) == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [7.0, 3.0, 9.9])
+    def test_narrow_window_divides_by_the_computed_width(self, x):
+        c = EvaluatorFunction(rule=np.ones_like, domain=(0.0, 10.0))
+        got = transport_filter(c, x, 1e-9)
+        assert abs(got - 1.0) <= 4 * np.spacing(1.0)
+
     def test_cosine_picks_up_the_window_factor(self):
         # average of cos over x +- 0.1 is cos(x) * sin(0.1)/0.1
         value = transport_filter(interval_cos(), 2.0, 0.1)
