@@ -8,31 +8,28 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "catalog": "CatalogEntry exact_filtered make names regenerate",
+    "catalog": "CatalogEntry exact_filtered make names",
     "classify": "ClassificationReport CoefficientCertificate "
                 "FourierCombResult NodeReport certificate_report "
                 "classify_coefficients classify_pointwise comb_by_disk "
-                "comb_by_filter_limit comb_by_fourier comb_from_coefficients",
-    "disk": "BoundaryValueReport DiskPoint InnerAnalyticFunction "
-            "arc_filter_eval boundary_value boundary_value_grid "
-            "complex_filter eval_ring evaluate from_coefficients "
-            "log_derivative log_primitive to_coefficients",
-    "errors": "BadParams CircleCombError DivergenceDetected DomainError "
-              "EpsilonBelowResolution NoConvergence NonIntegrableInput "
-              "NotAvailable OutOfDomain QuadratureFailure UndefinedHere "
-              "UnknownName",
+                "comb_by_filter_limit comb_from_coefficients",
+    "disk": "DiskPoint InnerAnalyticFunction arc_filter_eval "
+            "boundary_value_grid complex_filter eval_ring evaluate "
+            "from_coefficients log_derivative log_primitive",
+    "errors": "BadParams CircleCombError DomainError EpsilonBelowResolution "
+              "NoConvergence NonIntegrableInput NotAvailable OutOfDomain "
+              "QuadratureFailure UndefinedHere UnknownName",
     "formats": "coefficients_from_doc coefficients_to_doc dumps_json "
                "load_coefficients read_grid report_to_doc save_coefficients "
                "write_grid",
-    "realfilter": "DEFAULT_EPS_SCHEDULE FilterSpec filter_limit "
+    "realfilter": "DEFAULT_EPS_SCHEDULE filter_limit "
                   "filtered_derivative_limit grid_evaluator "
                   "kernel_filter_eval kernel_filter_grid multiplier_filter",
     "rescale": "IntervalMap filter_physical_grid pullback transport_filter",
     "spectrum": "CoefficientSequence EvaluatorFunction GridFunction "
                 "SingularPoint angular_derivative circle_distance "
-                "compute_coefficients fourier_conjugate from_complex "
-                "grid_nodes linear_combination partial_sum_eval "
-                "partial_sum_grid rotate wrap_angle",
+                "compute_coefficients grid_nodes partial_sum_eval "
+                "partial_sum_grid wrap_angle",
 }
 # Public name -> the module that defines it; a submodule maps to itself.
 _HOME = {name: module for module, names in _EXPORTS.items()

@@ -1,19 +1,23 @@
-"""Polynomial extrapolation of parameter-indexed value sequences to zero.
+"""Shrinking-window limits: value sequences extrapolated to zero width.
 
-Two models are used in this package.  Window averages of a function
-that is smooth at the evaluation point expand in even powers of the
-window half-width, so extrapolating in the squared parameter converges
-fastest there.  At kinks the expansion picks up odd powers and the even
-model stalls; plain polynomial extrapolation in the parameter itself
-handles those.  `realfilter.extrapolated_limits` is the one place that
-runs both and keeps whichever settles better; this module holds the
-Neville tableau and the divergence and concentrated-mass heuristics it
-judges them with.
+Window averages of a function that is smooth at the evaluation point
+expand in even powers of the window half-width, so extrapolating in the
+squared parameter converges fastest there.  At kinks the expansion
+picks up odd powers and the even model stalls; plain polynomial
+extrapolation in the parameter itself handles those.
+`extrapolated_limits` runs both and keeps whichever settles better,
+judged by the divergence and concentrated-mass heuristics below.  This
+module is the one place for those limits: the schedule check, the
+Neville tableau, the model choice and the heuristics.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import DomainError, NoConvergence
 
 
 def neville_to_zero(xs, values):
@@ -75,3 +79,54 @@ def mass_signature(eps_values, samples, tol):
     resid = float(np.sqrt(np.sum((vals - basis @ coef) ** 2)))
     growth = abs(float(coef[2])) * (1.0 / es[-1] - 1.0 / es[0])
     return growth > 4.0 * (resid + tol) and resid <= 0.01 * growth
+
+
+def check_eps_schedule(eps_schedule) -> np.ndarray:
+    """The schedule as an array; DomainError unless it holds >= 3
+    strictly decreasing half-widths in (0, pi]."""
+    es = np.asarray(eps_schedule, dtype=float)
+    if es.size < 3 or not np.all((es > 0) & (es <= math.pi)) \
+            or not np.all(np.diff(es) < 0):
+        raise DomainError("shrinking-window schedule must be >= 3 strictly "
+                          "decreasing half-widths in (0, pi]")
+    return es
+
+
+def extrapolated_limits(eps, samples):
+    """Shrinking-window limits column by column, from window averages
+    `samples` (m, N) at half-widths `eps` of the same shape.
+
+    Runs the even-power model (polynomial in eps^2, right for windows
+    centred at smooth points) and the plain polynomial model (right at
+    kinks, where odd powers appear) and keeps whichever one's own last
+    correction is smaller.  Returns (values, corrections, settled), the
+    last correction of the kept model per column.  A column is not
+    settled when it holds NaN, when the kept tableau's corrections grow
+    instead of shrinking, or when an unsettled tableau sits on samples
+    with the concentrated-mass signature (growth like 1/eps, which
+    polynomial extrapolation fits deceptively well).
+    """
+    v_even, c_even = neville_to_zero(eps * eps, samples)
+    v_poly, c_poly = neville_to_zero(eps, samples)
+    poly = c_poly[-1] < c_even[-1]
+    values = np.where(poly, v_poly, v_even)
+    corr = np.where(poly, c_poly, c_even)
+    settled = np.isfinite(corr[-1]) & ~diverging(corr, values)
+    suspect = settled & (corr[-1] > 1e-3 * (1.0 + np.abs(values)))
+    mass_tol = 1e-9 * (1.0 + np.max(np.abs(samples), axis=0))
+    for j in np.flatnonzero(suspect):
+        settled[j] = not mass_signature(eps[:, j], samples[:, j], mass_tol[j])
+    return values, corr[-1], settled
+
+
+def extrapolated_limit(eps_values, samples):
+    """`extrapolated_limits` of one schedule: returns (value, correction)
+    and raises NoConvergence where that column is not settled."""
+    es = np.asarray(eps_values, dtype=float)[:, None]
+    vals = np.asarray(samples, dtype=float)[:, None]
+    values, corr, settled = extrapolated_limits(es, vals)
+    if not settled[0]:
+        raise NoConvergence(
+            "window averages do not settle (growing corrections or "
+            f"concentrated mass at the point): {vals[:, 0].tolist()}")
+    return float(values[0]), float(corr[0])

@@ -3,9 +3,10 @@
 Each entry bundles a pointwise evaluator (when the object is an honest
 function), an exact coefficient generator at any truncation order, a
 declared classification tag, and, where available, the closed form of
-its window average.  Entries regenerate bit-identically from the
-generator tag stored on their coefficient sequences, so serialized data
-stays tied to its source.
+its window average.  The generator tag on each coefficient sequence
+regenerates it bit-identically, make(tag["name"],
+**tag["params"]).coefficients(n), so serialized data stays tied to its
+source.
 """
 
 from __future__ import annotations
@@ -476,10 +477,3 @@ def make(name: str, **params) -> CatalogEntry:
         raise UnknownName(f"no catalog entry named {name!r}; known entries: "
                           f"{', '.join(names())}") from None
     return builder(params)
-
-
-def regenerate(tag: dict, n: int = DEFAULT_N) -> CoefficientSequence:
-    """Rebuild coefficients from a generator tag {"name", "params"}."""
-    if not isinstance(tag, dict) or "name" not in tag:
-        raise BadParams(f"not a generator tag: {tag!r}")
-    return make(tag["name"], **tag.get("params", {})).coefficients(n)

@@ -21,13 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._extrap import mass_signature, neville_to_zero
+from ._extrap import (check_eps_schedule, extrapolated_limits,
+                      mass_signature, neville_to_zero)
 from .errors import CircleCombError, DomainError
-from .realfilter import (DEFAULT_EPS_SCHEDULE, check_eps_schedule,
-                         extrapolated_limits, window_averages)
-from .spectrum import (DEFAULT_N, CoefficientSequence, EvaluatorFunction,
-                       GridFunction, circle_distance, compute_coefficients,
-                       grid_nodes, partial_sum_grid, sinc, wrap_angle)
+from .realfilter import DEFAULT_EPS_SCHEDULE, window_averages
+from .spectrum import (CoefficientSequence, EvaluatorFunction, GridFunction,
+                       circle_distance, grid_nodes, partial_sum_grid, sinc,
+                       wrap_angle)
 
 COMBED = "combed"
 RAGGED = "ragged"
@@ -176,8 +176,8 @@ def classify_coefficients(seq: CoefficientSequence,
     The certificate records the multiplier sin(k eps)/(k eps) returning
     to 1 at a low, a middle and the top harmonic."""
     es = np.asarray(eps_values, dtype=float)
-    if es.size < 2 or np.any(es <= 0) or np.any(es > math.pi) \
-            or np.any(np.diff(es) >= 0):
+    if es.size < 2 or not np.all((es > 0) & (es <= math.pi)) \
+            or not np.all(np.diff(es) < 0):
         raise DomainError("certificate needs >= 2 strictly decreasing "
                           "half-widths in (0, pi]")
     if seq.n >= 1:
@@ -268,22 +268,6 @@ def comb_from_coefficients(seq: CoefficientSequence, n_grid: int = 256,
         note=f"series reconstruction at n={seq.n}")
     return FourierCombResult(grid=grid, sup_change=sup,
                              non_convergent=sup > diagnostic_tol)
-
-
-def comb_by_fourier(f: EvaluatorFunction, n: int = DEFAULT_N,
-                    n_grid: int = 256,
-                    diagnostic_tol: float = DEFAULT_TOL) -> FourierCombResult:
-    """Comb through the coefficient route: integrate, then resum.
-
-    Isolated spikes are invisible here by construction: their points
-    are quadrature panel edges, never sample abscissae, so the
-    coefficients (and everything downstream) match the spike-free
-    function bit for bit.  NonIntegrableInput propagates.
-    """
-    seq = compute_coefficients(f, n=n)
-    return comb_from_coefficients(
-        seq, n_grid, diagnostic_tol,
-        singular_points=tuple(s.theta for s in f.singular_points))
 
 
 def comb_by_disk(seq: CoefficientSequence, n_grid: int = 256,

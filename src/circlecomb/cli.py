@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from . import formats
-from .errors import (BadParams, CircleCombError, DivergenceDetected,
-                     DomainError, EpsilonBelowResolution, NoConvergence,
+from .errors import (BadParams, CircleCombError, DomainError,
+                     EpsilonBelowResolution, NoConvergence,
                      NonIntegrableInput, NotAvailable, OutOfDomain,
                      QuadratureFailure, UndefinedHere, UnknownName)
 from .spectrum import DEFAULT_N, GridFunction, grid_coefficients, grid_nodes
@@ -24,7 +25,7 @@ from .spectrum import DEFAULT_N, GridFunction, grid_coefficients, grid_nodes
 _USAGE_ERRORS = (DomainError, OutOfDomain, BadParams, UnknownName,
                  NotAvailable, EpsilonBelowResolution)
 _NUMERIC_ERRORS = (QuadratureFailure, NonIntegrableInput, NoConvergence,
-                   DivergenceDetected, UndefinedHere)
+                   UndefinedHere)
 
 # Catalog parameters exposed as flags.
 _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
@@ -133,6 +134,14 @@ def _given(args, flags) -> dict:
             if getattr(args, key, None) is not None}
 
 
+def _refuse_unread(args, flags, route):
+    """DomainError when the user set any of `flags`, which `route` never
+    reads: a flag silently ignored would pass for one that took effect."""
+    unread = [f"--{key.replace('_', '-')}" for key in _given(args, flags)]
+    if unread:
+        raise DomainError(f"{', '.join(unread)} not read by {route}")
+
+
 def _is_json(path: str) -> bool:
     return str(path).lower().endswith(".json")
 
@@ -173,6 +182,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_filter(args) -> int:
     if _is_json(args.input):
+        _refuse_unread(args, ("domain",), "filtering coefficient JSON")
         if args.method == "kernel":
             raise DomainError("kernel filtering needs grid input; "
                               "coefficient JSON uses --method multiplier")
@@ -210,6 +220,8 @@ def _domain_pair(vals):
 def cmd_classify(args) -> int:
     from . import classify
     if _is_json(args.input):
+        _refuse_unread(args, ("eps_schedule", "tol"),
+                       "classifying coefficient JSON")
         cert = classify.classify_coefficients(
             formats.load_coefficients(args.input))
         report = classify.certificate_report(cert)
@@ -224,13 +236,17 @@ def cmd_classify(args) -> int:
 
 def _deltas_from_rhos(rhos) -> tuple:
     deltas = tuple(1.0 - r for r in rhos)
-    if any(d <= 0 or d >= 1 for d in deltas):
+    if not all(0 < d < 1 for d in deltas):
         raise DomainError("radii must lie strictly inside (0, 1)")
     return deltas
 
 
 def cmd_comb(args) -> int:
     from . import classify
+    _refuse_unread(args, {"filter-limit": ("rho_schedule",),
+                          "fourier": ("eps_schedule", "rho_schedule"),
+                          "disk": ("eps_schedule",)}[args.method],
+                   f"comb --method {args.method}")
     _check_size("--n", args.n, 1)
     if args.grid is not None:
         _check_size("--grid", args.grid, 2)
@@ -303,21 +319,27 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return _DISPATCH[args.command](args)
-    except _USAGE_ERRORS as exc:
-        print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"circlecomb {args.command}: numeric failure: {exc}",
-              file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except CircleCombError as exc:
-        print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        # One line per warning, as every other message: no file path or
+        # source line of the library.
+        warnings.showwarning = lambda message, category, *_: print(
+            f"circlecomb {args.command}: {category.__name__}: {message}",
+            file=sys.stderr)
+        try:
+            return _DISPATCH[args.command](args)
+        except _USAGE_ERRORS as exc:
+            print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
+            return 2
+        except _NUMERIC_ERRORS as exc:
+            print(f"circlecomb {args.command}: numeric failure: {exc}",
+                  file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
+            return 2
+        except CircleCombError as exc:
+            print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

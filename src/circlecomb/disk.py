@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._extrap import neville_to_zero
-from .errors import DivergenceDetected, DomainError, OutOfDomain
+from .errors import DomainError, OutOfDomain
 from .spectrum import CoefficientSequence, horner, sinc
 
 DEFAULT_DELTA_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
@@ -97,11 +97,6 @@ def from_coefficients(seq: CoefficientSequence) -> InnerAnalyticFunction:
     return InnerAnalyticFunction(seq.complex_view())
 
 
-def to_coefficients(w: InnerAnalyticFunction, a0: float = 0.0) -> CoefficientSequence:
-    eff = w.materialize()
-    return CoefficientSequence(a0, eff.real.copy(), -eff.imag.copy())
-
-
 def log_derivative(w: InnerAnalyticFunction) -> InnerAnalyticFunction:
     """Angular derivative on the disk side: c_k -> k c_k (rotated by the
     caller's convention on the real side; here purely diagonal)."""
@@ -130,7 +125,7 @@ def _tail_check(w: InnerAnalyticFunction, rho: float):
         warnings.warn(
             f"truncation tail bound {bound:.2e} at rho={rho}; "
             "increase the coefficient count for radii this close to 1",
-            RuntimeWarning, stacklevel=4)   # boundary_value(_grid)'s caller
+            RuntimeWarning, stacklevel=3)   # boundary_value_grid's caller
 
 
 def evaluate(w: InnerAnalyticFunction, point) -> complex:
@@ -189,29 +184,23 @@ def arc_filter_eval(w: InnerAnalyticFunction, theta: float, eps: float,
     return complex(-0.5j / eps * diff)
 
 
-@dataclass(frozen=True)
-class BoundaryValueReport:
-    """Radial limit estimate at one angle, with the ring data behind it."""
-
-    theta: float
-    value: float
-    deltas: tuple
-    ring_values: tuple
-    residual: float
-
-
 def _check_schedule(deltas) -> np.ndarray:
     d = np.asarray(deltas, dtype=float)
-    if d.size < 3 or np.any(d <= 0) or np.any(np.diff(d) >= 0) or d[0] >= 1:
+    if d.size < 3 or not np.all((d > 0) & (d < 1)) \
+            or not np.all(np.diff(d) < 0):
         raise DomainError("delta schedule must be >= 3 strictly decreasing "
                           "values in (0, 1)")
     return d
 
 
-def _radial_limits(seq: CoefficientSequence, thetas, delta_schedule):
-    """Ring values a0 + Re w((1-delta) e^{i theta}), one row per delta,
-    and their extrapolation to delta = 0: (deltas, values, residuals,
-    defined, rings)."""
+def boundary_value_grid(seq: CoefficientSequence, thetas,
+                        delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE):
+    """Radial limits a0 + Re w((1-delta) e^{i theta}) extrapolated to delta = 0.
+
+    Vectorized over angles.  Returns (values, residuals, defined) where
+    `defined` is False at angles whose ring values blow up monotonically
+    past the coefficient scale; those values are NaN.
+    """
     d = _check_schedule(delta_schedule)
     w = from_coefficients(seq)
     _tail_check(w, 1.0 - float(d[-1]))
@@ -230,32 +219,4 @@ def _radial_limits(seq: CoefficientSequence, thetas, delta_schedule):
     residuals = np.asarray(corrections[-1], dtype=float)
     values = np.where(diverged, np.nan, values)
     residuals = np.where(diverged, np.nan, residuals)
-    return d, values, residuals, ~diverged, rings
-
-
-def boundary_value_grid(seq: CoefficientSequence, thetas,
-                        delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE):
-    """Radial limits a0 + Re w((1-delta) e^{i theta}) extrapolated to delta = 0.
-
-    Vectorized over angles.  Returns (values, residuals, defined) where
-    `defined` is False at angles whose ring values blow up monotonically
-    past the coefficient scale; those values are NaN.
-    """
-    return _radial_limits(seq, thetas, delta_schedule)[1:4]
-
-
-def boundary_value(seq: CoefficientSequence, theta: float,
-                   delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE
-                   ) -> BoundaryValueReport:
-    """Boundary value at one angle; raises DivergenceDetected on blow-up."""
-    d, values, residuals, defined, rings = _radial_limits(
-        seq, [theta], delta_schedule)
-    ring = rings[:, 0]
-    if not defined[0]:
-        raise DivergenceDetected(
-            f"ring values at theta={theta} grow without settling: "
-            f"{[float(v) for v in ring]}")
-    return BoundaryValueReport(theta=float(theta), value=float(values[0]),
-                               deltas=tuple(float(x) for x in d),
-                               ring_values=tuple(float(v) for v in ring),
-                               residual=float(residuals[0]))
+    return values, residuals, ~diverged

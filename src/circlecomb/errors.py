@@ -39,10 +39,6 @@ class NoConvergence(CircleCombError):
     """An extrapolated limit failed to settle."""
 
 
-class DivergenceDetected(CircleCombError):
-    """Boundary values grow without bound as the evaluation circle expands."""
-
-
 class UnknownName(CircleCombError):
     """No catalog entry is registered under the requested name."""
 

@@ -6,22 +6,20 @@ three interchangeable forms: direct quadrature against a pointwise
 evaluator, a diagonal multiplier sin(k eps)/(k eps) on coefficient
 sequences, and the closed-form average of the piecewise-linear
 interpolant on uniform grids, which a grid's evaluator carries for any
-centres and half-widths.  Shrinking-window limits with polynomial
-extrapolation, one column per schedule, recover pointwise values where
-the function is tame and expose defects where it is not.
+centres and half-widths.  `filter_limit` and `filtered_derivative_limit`
+shrink the window at one point; the limits themselves are taken by
+`_extrap`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._extrap import diverging, mass_signature, neville_to_zero
-from .errors import (DomainError, EpsilonBelowResolution, NoConvergence,
-                     QuadratureFailure, UndefinedHere)
+from .errors import (DomainError, EpsilonBelowResolution, QuadratureFailure,
+                     UndefinedHere)
 from .spectrum import (TWO_PI, CoefficientSequence, EvaluatorFunction,
                        GridFunction, SingularPoint, circle_distance, sinc,
                        wrap_angle)
@@ -29,21 +27,6 @@ from .spectrum import (TWO_PI, CoefficientSequence, EvaluatorFunction,
 DEFAULT_EPS_SCHEDULE = (0.2, 0.1, 0.05, 0.025)
 
 DEFAULT_FILTER_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Half-width plus the route used to apply the window average."""
-
-    epsilon: float
-    method: str = "kernel"
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon <= math.pi):
-            raise DomainError(f"window half-width {self.epsilon} "
-                              "outside (0, pi]")
-        if self.method not in ("kernel", "multiplier"):
-            raise DomainError(f"unknown filter method {self.method!r}")
 
 
 def kernel_filter_eval(f: EvaluatorFunction, theta: float, eps: float,
@@ -220,57 +203,6 @@ def window_averages(f: EvaluatorFunction, thetas, eps,
     return out
 
 
-def check_eps_schedule(eps_schedule) -> np.ndarray:
-    """The schedule as an array; DomainError unless it holds >= 3
-    strictly decreasing half-widths in (0, pi]."""
-    es = np.asarray(eps_schedule, dtype=float)
-    if es.size < 3 or np.any(es <= 0) or np.any(es > math.pi) \
-            or np.any(np.diff(es) >= 0):
-        raise DomainError("shrinking-window schedule must be >= 3 strictly "
-                          "decreasing half-widths in (0, pi]")
-    return es
-
-
-def extrapolated_limits(eps, samples):
-    """Shrinking-window limits column by column, from window averages
-    `samples` (m, N) at half-widths `eps` of the same shape.
-
-    Runs the even-power model (polynomial in eps^2, right for windows
-    centred at smooth points) and the plain polynomial model (right at
-    kinks, where odd powers appear) and keeps whichever one's own last
-    correction is smaller.  Returns (values, corrections, settled), the
-    last correction of the kept model per column.  A column is not
-    settled when it holds NaN, when the kept tableau's corrections grow
-    instead of shrinking, or when an unsettled tableau sits on samples
-    with the concentrated-mass signature (growth like 1/eps, which
-    polynomial extrapolation fits deceptively well).
-    """
-    v_even, c_even = neville_to_zero(eps * eps, samples)
-    v_poly, c_poly = neville_to_zero(eps, samples)
-    poly = c_poly[-1] < c_even[-1]
-    values = np.where(poly, v_poly, v_even)
-    corr = np.where(poly, c_poly, c_even)
-    settled = np.isfinite(corr[-1]) & ~diverging(corr, values)
-    suspect = settled & (corr[-1] > 1e-3 * (1.0 + np.abs(values)))
-    mass_tol = 1e-9 * (1.0 + np.max(np.abs(samples), axis=0))
-    for j in np.flatnonzero(suspect):
-        settled[j] = not mass_signature(eps[:, j], samples[:, j], mass_tol[j])
-    return values, corr[-1], settled
-
-
-def extrapolated_limit(eps_values, samples):
-    """`extrapolated_limits` of one schedule: returns (value, correction)
-    and raises NoConvergence where that column is not settled."""
-    es = np.asarray(eps_values, dtype=float)[:, None]
-    vals = np.asarray(samples, dtype=float)[:, None]
-    values, corr, settled = extrapolated_limits(es, vals)
-    if not settled[0]:
-        raise NoConvergence(
-            "window averages do not settle (growing corrections or "
-            f"concentrated mass at the point): {vals[:, 0].tolist()}")
-    return float(values[0]), float(corr[0])
-
-
 def filter_limit(f: EvaluatorFunction, theta: float,
                  eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
                  tol: float = DEFAULT_FILTER_TOL):
@@ -278,7 +210,10 @@ def filter_limit(f: EvaluatorFunction, theta: float,
 
     Returns (value, residual).  The residual is the last extrapolation
     correction, an honest error scale for the reported value.
+    UndefinedHere, with its reason, where a window meets a
+    non-integrable point.
     """
+    from ._extrap import check_eps_schedule, extrapolated_limit
     es = check_eps_schedule(eps_schedule)
     vals = [kernel_filter_eval(f, theta, e, tol=tol) for e in es]
     return extrapolated_limit(es, vals)
@@ -294,6 +229,7 @@ def filtered_derivative_limit(f: EvaluatorFunction, theta: float,
     declared singular point or on a point without a value; NoConvergence
     where the endpoint differences blow up (one-sided jumps).
     """
+    from ._extrap import check_eps_schedule, extrapolated_limit
     es = check_eps_schedule(eps_schedule)
     vals = []
     for e in es:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, OutOfDomain, UndefinedHere
-from .realfilter import grid_evaluator, kernel_filter_grid
 from .spectrum import (TWO_PI, EvaluatorFunction, GridFunction,
                        SingularPoint, circle_distance, wrap_angle)
 
@@ -138,6 +137,7 @@ def grid_pullback_evaluator(grid: GridFunction, m: IntervalMap
     canonical nodes, so the values carry over node for node; only the
     seam bookkeeping differs from a plain circle grid.
     """
+    from .realfilter import grid_evaluator
     ev = grid_evaluator(grid)
     seam = (SingularPoint(-math.pi, integrable=False),
             SingularPoint(math.pi, integrable=False))
@@ -166,6 +166,7 @@ def mask_boundary_windows(grid: GridFunction, eps: float) -> GridFunction:
 def filter_physical_grid(grid: GridFunction, domain, eps_physical: float
                          ) -> GridFunction:
     """Window-average a domain-tagged grid with a physical half-width."""
+    from .realfilter import kernel_filter_grid
     m = IntervalMap(*domain)
     eps = m.epsilon_to_canonical(eps_physical)
     return mask_boundary_windows(kernel_filter_grid(grid, eps), eps)

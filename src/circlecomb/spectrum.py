@@ -185,12 +185,6 @@ class GridFunction:
         return grid_nodes(self.n)
 
 
-def from_complex(a0, c):
-    """Inverse of complex_view: rebuild (a, b) from c_k = a_k - i b_k."""
-    c = np.asarray(c, dtype=complex)
-    return CoefficientSequence(a0=a0, a=c.real.copy(), b=(-c.imag).copy())
-
-
 def compute_coefficients(f, n=DEFAULT_N, panels_per_interval=4,
                          tol=DEFAULT_COEFF_TOL):
     """Project an evaluator on the first `n` harmonics by panel quadrature.
@@ -363,29 +357,3 @@ def angular_derivative(seq, order=1):
         a, b = k * b, -(k * a)
         a0 = 0.0
     return CoefficientSequence(a0=a0, a=a, b=b)
-
-
-def fourier_conjugate(seq):
-    """The conjugate series: (a_k, b_k) -> (-b_k, a_k), mean dropped."""
-    return CoefficientSequence(a0=0.0, a=-seq.b, b=seq.a.copy())
-
-
-def rotate(seq, alpha):
-    """Coefficients of f(theta - alpha)."""
-    k = seq.k_values()
-    ca, sa = np.cos(k * alpha), np.sin(k * alpha)
-    return CoefficientSequence(a0=seq.a0,
-                               a=seq.a * ca - seq.b * sa,
-                               b=seq.a * sa + seq.b * ca)
-
-
-def linear_combination(x, y, sx=1.0, sy=1.0):
-    """sx * x + sy * y, zero-padding the shorter sequence."""
-    n = max(x.n, y.n)
-    xa = np.zeros(n); xb = np.zeros(n)
-    ya = np.zeros(n); yb = np.zeros(n)
-    xa[:x.n], xb[:x.n] = x.a, x.b
-    ya[:y.n], yb[:y.n] = y.a, y.b
-    return CoefficientSequence(a0=sx * x.a0 + sy * y.a0,
-                               a=sx * xa + sy * ya,
-                               b=sx * xb + sy * yb)

@@ -12,7 +12,6 @@ from circlecomb.catalog import (
     exact_filtered,
     make,
     names,
-    regenerate,
 )
 from circlecomb.errors import (
     BadParams,
@@ -278,11 +277,8 @@ class TestRegeneration:
     ])
     def test_regenerate_is_bit_identical(self, name, params):
         seq = make(name, **params).coefficients(20)
-        again = regenerate(seq.generator, 20)
+        tag = seq.generator
+        again = make(tag["name"], **tag["params"]).coefficients(20)
         assert again.a0 == seq.a0
         assert np.array_equal(again.a, seq.a)
         assert np.array_equal(again.b, seq.b)
-
-    def test_regenerate_rejects_non_tags(self):
-        with pytest.raises(BadParams, match="generator tag"):
-            regenerate({"params": {}})

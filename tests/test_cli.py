@@ -69,6 +69,8 @@ def workdir(tmp_path_factory):
     save_coefficients(d / "cosseq.json", make("cosine", k=1).coefficients(32))
     save_coefficients(d / "delta.json", make("delta",
                                              theta0=0.0).coefficients(16))
+    save_coefficients(d / "square.json",
+                      make("square_wave").coefficients(256))
     return d
 
 
@@ -444,6 +446,63 @@ class TestExitCodes:
                          "--output", str(out)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "{seq}", "--eps-schedule", "3,2,1",
+         "--tol", "-5"],
+        ["comb", "--input", "{seq}", "--method", "fourier",
+         "--eps-schedule", "3,2,1"],
+        ["comb", "--input", "{seq}", "--method", "fourier",
+         "--rho-schedule", "0.5,0.9,0.99"],
+        ["comb", "--input", "{seq}", "--method", "disk",
+         "--eps-schedule", "0.2,0.1,0.05"],
+        ["comb", "--input", "{grid}", "--method", "filter-limit",
+         "--rho-schedule", "0.5,0.2"],
+        ["filter", "--input", "{seq}", "--eps", "0.1", "--domain", "0,1"],
+    ], ids=["classify-json", "fourier-eps", "fourier-rho", "disk-eps",
+            "filter-limit-rho", "filter-json-domain"])
+    def test_flags_the_route_never_reads_exit_2(self, workdir, tmp_path,
+                                                capsys, argv):
+        out = tmp_path / "out"
+        fill = {"seq": workdir / "cosseq.json", "grid": workdir / "cos256.csv"}
+        assert cli.main([a.format(**fill) for a in argv]
+                        + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not read by" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["comb", "--input", "{seq}", "--method", "disk", "--rho-schedule",
+          "0.9,nan,0.99"], "radii"),
+        (["classify", "--input", "{grid}", "--eps-schedule", "nan,0.1,0.05"],
+         "shrinking-window schedule"),
+    ], ids=["disk-rho", "classify-eps"])
+    def test_nan_schedules_exit_2_with_one_line(self, workdir, tmp_path,
+                                                argv, message):
+        out = tmp_path / "out"
+        fill = {"seq": workdir / "square.json", "grid": workdir / "cos256.csv"}
+        p = run_cli(*[a.format(**fill) for a in argv], "--output", out)
+        assert p.returncode == 2
+        err = p.stderr.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["comb", "--input", "{seq}", "--method", "disk"],
+        ["eval", "--input", "{seq}", "--rho-schedule", "0.9,0.99,0.999"],
+    ], ids=["comb-disk", "eval-rho-schedule"])
+    def test_tail_warning_is_one_line(self, workdir, tmp_path, argv):
+        # 256 harmonics of a square wave cannot reach radii this close
+        # to 1, so the disk route warns; the warning names no file.
+        p = run_cli(*[a.format(seq=workdir / "square.json") for a in argv],
+                    "--output", tmp_path / "out.csv")
+        assert p.returncode == 0
+        err = p.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"circlecomb {argv[0]}: RuntimeWarning: "
+                                 "truncation tail bound")
+        assert ".py" not in err[0]
+        assert str(os.path.dirname(cli.__file__)) not in err[0]
 
 
 class TestGridRoutesRunNoQuadrature:

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from circlecomb.disk import (
-    DEFAULT_DELTA_SCHEDULE,
     DiskPoint,
     InnerAnalyticFunction,
     arc_filter_eval,
-    boundary_value,
     boundary_value_grid,
     complex_filter,
     evaluate,
@@ -19,9 +17,8 @@ from circlecomb.disk import (
     from_coefficients,
     log_derivative,
     log_primitive,
-    to_coefficients,
 )
-from circlecomb.errors import DivergenceDetected, DomainError, OutOfDomain
+from circlecomb.errors import DomainError, OutOfDomain
 from circlecomb.spectrum import CoefficientSequence
 
 from conftest import delta_coefficients, square_coefficients
@@ -67,10 +64,9 @@ def test_materialize_applies_pending_power():
 
 def test_sequence_round_trip_is_bitwise(rng):
     seq = CoefficientSequence(0.25, rng.normal(size=6), rng.normal(size=6))
-    back = to_coefficients(from_coefficients(seq), a0=seq.a0)
-    assert back.a0 == seq.a0
-    assert np.array_equal(back.a, seq.a)
-    assert np.array_equal(back.b, seq.b)
+    c = from_coefficients(seq).materialize()
+    assert np.array_equal(c.real, seq.a)
+    assert np.array_equal(-c.imag, seq.b)
 
 
 # ------------------------------------------------------------- evaluation
@@ -208,34 +204,35 @@ def test_boundary_value_of_cosine():
     seq = CoefficientSequence(0.0, np.array([1.0]), np.array([0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = boundary_value(seq, PI / 3)
-    assert rep.value == pytest.approx(0.5, abs=1e-8)
-    assert rep.residual < 1e-8
-    assert rep.deltas == DEFAULT_DELTA_SCHEDULE
-    assert len(rep.ring_values) == len(DEFAULT_DELTA_SCHEDULE)
+        values, residuals, defined = boundary_value_grid(seq, [PI / 3])
+    assert defined[0]
+    assert values[0] == pytest.approx(0.5, abs=1e-8)
+    assert residuals[0] < 1e-8
 
 
 def test_boundary_value_of_point_mass_away_from_its_carrier():
     seq = delta_coefficients(0.0, 32768)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = boundary_value(seq, PI)
-    assert abs(rep.value) < 1e-8
+        values, _, defined = boundary_value_grid(seq, [PI])
+    assert defined[0]
+    assert abs(values[0]) < 1e-8
 
 
 def test_boundary_value_of_square_wave_at_jump_is_the_midpoint():
     seq = square_coefficients(1024)
     with pytest.warns(RuntimeWarning, match="truncation tail"):
-        rep = boundary_value(seq, 0.0)
-    assert rep.value == 0.0
+        values, _, _ = boundary_value_grid(seq, [0.0])
+    assert values[0] == 0.0
 
 
 def test_boundary_value_diverges_on_the_point_mass():
     seq = delta_coefficients(0.0, 2048)
-    with pytest.raises(DivergenceDetected):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            boundary_value(seq, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        values, residuals, defined = boundary_value_grid(seq, [0.0])
+    assert not defined[0]
+    assert np.isnan(values[0]) and np.isnan(residuals[0])
 
 
 def test_boundary_grid_masks_divergent_angles():
@@ -251,15 +248,19 @@ def test_boundary_grid_masks_divergent_angles():
 def test_boundary_schedule_is_validated():
     seq = CoefficientSequence(0.0, np.array([1.0]), np.array([0.0]))
     for bad in [(0.01, 0.005), (0.01, 0.01, 0.005),
-                (1.5, 0.5, 0.25), (0.01, 0.005, -0.001)]:
-        with pytest.raises(DomainError):
-            boundary_value(seq, 0.3, delta_schedule=bad)
+                (1.5, 0.5, 0.25), (0.01, 0.005, -0.001),
+                (0.1, np.nan, 0.01), (np.nan, 0.05, 0.01),
+                (0.1, 0.05, np.nan)]:
+        with pytest.raises(DomainError, match="delta schedule"):
+            boundary_value_grid(seq, [0.3], delta_schedule=bad)
 
 
 def test_under_truncated_series_warns_near_the_boundary():
-    with pytest.warns(RuntimeWarning, match="truncation tail"):
-        boundary_value(delta_coefficients(0.0, 256), PI)
+    with pytest.warns(RuntimeWarning, match="truncation tail") as record:
+        boundary_value_grid(delta_coefficients(0.0, 256), [PI])
+    # The warning names the caller's line, not the library's.
+    assert record[0].filename == __file__
     # The same mass with enough harmonics extrapolates quietly.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        boundary_value(delta_coefficients(0.0, 32768), PI)
+        boundary_value_grid(delta_coefficients(0.0, 32768), [PI])

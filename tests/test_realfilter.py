@@ -9,11 +9,10 @@ import pytest
 
 from circlecomb.errors import (DomainError, EpsilonBelowResolution,
                                NoConvergence, UndefinedHere)
+from circlecomb._extrap import extrapolated_limit
 from circlecomb.realfilter import (
     DEFAULT_EPS_SCHEDULE,
-    FilterSpec,
     GridFunction,
-    extrapolated_limit,
     filter_limit,
     filtered_derivative_limit,
     grid_evaluator,
@@ -129,15 +128,6 @@ def test_multiplier_on_point_mass_matches_pulse_quadrature():
     assert filtered.a0 == pytest.approx(direct.a0, abs=1e-9)
     assert filtered.a == pytest.approx(direct.a, abs=1e-8)
     assert filtered.b == pytest.approx(direct.b, abs=1e-8)
-
-
-def test_filter_spec_validates_fields():
-    assert FilterSpec(0.2).method == "kernel"
-    assert FilterSpec(0.2, method="multiplier").epsilon == 0.2
-    with pytest.raises(DomainError):
-        FilterSpec(0.0)
-    with pytest.raises(DomainError):
-        FilterSpec(0.2, method="sorcery")
 
 
 # ------------------------------------------------------------- grid route
@@ -384,9 +374,19 @@ def test_filter_limit_at_jump_gives_the_midpoint():
 def test_filter_limit_validates_schedule():
     f = EvaluatorFunction(rule=np.cos)
     for bad in [(0.2, 0.1), (0.2, 0.2, 0.1), (0.2, 0.1, -0.05),
-                (4.0, 0.2, 0.1)]:
-        with pytest.raises(DomainError):
+                (4.0, 0.2, 0.1), (np.nan, 0.1, 0.05), (0.2, np.nan, 0.05),
+                (0.2, 0.1, np.nan)]:
+        with pytest.raises(DomainError, match="shrinking-window schedule"):
             filter_limit(f, 0.0, eps_schedule=bad)
+
+
+def test_filter_limit_names_a_non_integrable_point_in_its_window():
+    # The pole at 0.15 lies inside only the widest window (0.2): the
+    # failure keeps its reason instead of becoming a NoConvergence.
+    f = EvaluatorFunction(rule=lambda th: 1.0 / (th - 0.15),
+                          singular_points=(SingularPoint(0.15, False),))
+    with pytest.raises(UndefinedHere, match="non-integrable singular point"):
+        filter_limit(f, 0.0)
 
 
 # ------------------------------------------------- derivative of averages

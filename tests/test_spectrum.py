@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from circlecomb.catalog import make
 from circlecomb.errors import DomainError, NonIntegrableInput, UndefinedHere
 from circlecomb.realfilter import GridFunction, grid_evaluator
 from circlecomb.spectrum import (
@@ -16,14 +17,10 @@ from circlecomb.spectrum import (
     angular_derivative,
     circle_distance,
     compute_coefficients,
-    fourier_conjugate,
-    from_complex,
     grid_coefficients,
     grid_nodes,
-    linear_combination,
     partial_sum_eval,
     partial_sum_grid,
-    rotate,
     wrap_angle,
 )
 
@@ -74,7 +71,8 @@ def test_sequence_validates_and_freezes_arrays():
 def test_complex_view_round_trip_is_bitwise():
     _, a, b, _ = random_trig_poly(np.random.default_rng(7), 9)
     seq = _sequence(0.5, a, b)
-    back = from_complex(seq.a0, seq.complex_view())
+    c = seq.complex_view()
+    back = CoefficientSequence(seq.a0, c.real, -c.imag)
     assert np.array_equal(back.a, seq.a)
     assert np.array_equal(back.b, seq.b)
     assert back.a0 == seq.a0
@@ -281,30 +279,14 @@ def test_derivative_orders_compose_bitwise(rng):
         angular_derivative(seq, order=-1)
 
 
-def test_conjugate_of_cosine_is_sine():
-    seq = _sequence(5.0, [1.0], [0.0])
-    c = fourier_conjugate(seq)
-    assert c.a0 == 0.0
-    assert c.a[0] == 0.0
-    assert c.b[0] == 1.0
-
-
-def test_conjugate_twice_negates_and_drops_mean(rng):
-    _, a, b, _ = random_trig_poly(rng, 8)
-    seq = _sequence(2.0, a, b)
-    cc = fourier_conjugate(fourier_conjugate(seq))
-    assert cc.a0 == 0.0
-    assert np.array_equal(cc.a, -seq.a)
-    assert np.array_equal(cc.b, -seq.b)
-
-
 def test_conjugate_of_point_mass_matches_closed_form():
-    # Conjugate of the unit mass at 0 is (1/pi) sum sin(k theta); its
+    # The catalog's conjugate of the unit mass at 0 is
+    # (1/pi) sum sin(k theta); its
     # radius-rho regularization has the closed form
     # rho sin(theta) / (pi (1 - 2 rho cos(theta) + rho^2)),
     # and near rho = 1 it approaches cot(theta/2) / (2 pi).
     n, rho, theta = 4096, 0.99, 2.0
-    c = fourier_conjugate(delta_coefficients(0.0, n))
+    c = make("conjugate_delta").coefficients(n)
     k = np.arange(1, n + 1)
     damped = c.a0 + np.sum((rho ** k) * (c.a * np.cos(k * theta)
                                          + c.b * np.sin(k * theta)))
@@ -313,31 +295,3 @@ def test_conjugate_of_point_mass_matches_closed_form():
     assert damped == pytest.approx(closed, abs=1e-13)
     assert damped == pytest.approx(1.0 / math.tan(theta / 2) / (2 * PI),
                                    abs=1e-3)
-
-
-def test_rotation_shifts_the_graph():
-    alpha = 0.8
-    seq = _sequence(0.0, [1.0, 0.0], [0.0, 0.0])
-    r = rotate(seq, alpha)
-    assert r.a[0] == pytest.approx(math.cos(alpha), abs=1e-15)
-    assert r.b[0] == pytest.approx(math.sin(alpha), abs=1e-15)
-    th = np.linspace(-3, 3, 11)
-    assert partial_sum_eval(r, th) == pytest.approx(np.cos(th - alpha),
-                                                    abs=1e-15)
-
-
-def test_rotation_round_trip(rng):
-    _, a, b, _ = random_trig_poly(rng, 10)
-    seq = _sequence(1.5, a, b)
-    back = rotate(rotate(seq, 1.234), -1.234)
-    assert back.a == pytest.approx(seq.a, abs=1e-15)
-    assert back.b == pytest.approx(seq.b, abs=1e-15)
-
-
-def test_linear_combination_pads_and_scales():
-    x = _sequence(1.0, [1.0, 2.0], [0.0, 1.0])
-    y = _sequence(2.0, [5.0], [7.0])
-    z = linear_combination(x, y, sx=2.0, sy=-1.0)
-    assert z.a0 == 0.0
-    assert np.array_equal(z.a, np.array([-3.0, 4.0]))
-    assert np.array_equal(z.b, np.array([-7.0, 2.0]))
