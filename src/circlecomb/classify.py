@@ -248,13 +248,12 @@ def _generator_singulars(seq: CoefficientSequence) -> tuple:
 
 
 def comb_from_coefficients(seq: CoefficientSequence, n_grid: int = 256,
-                           diagnostic_tol: float = DEFAULT_TOL,
                            singular_points=None) -> FourierCombResult:
     """Partial-sum reconstruction at the grid nodes.
 
     The diagnostic is the sup-norm change between the half and full
-    truncations; a large value flags a series still in motion at this
-    order (non-convergent or just too short a truncation).
+    truncations; a value above DEFAULT_TOL flags a series still in motion
+    at this order (non-convergent or just too short a truncation).
     `singular_points` defaults to whatever the generator tag implies.
     """
     if singular_points is None:
@@ -267,7 +266,7 @@ def comb_from_coefficients(seq: CoefficientSequence, n_grid: int = 256,
         singular_points=tuple(singular_points),
         note=f"series reconstruction at n={seq.n}")
     return FourierCombResult(grid=grid, sup_change=sup,
-                             non_convergent=sup > diagnostic_tol)
+                             non_convergent=sup > DEFAULT_TOL)
 
 
 def comb_by_disk(seq: CoefficientSequence, n_grid: int = 256,

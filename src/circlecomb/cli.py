@@ -20,7 +20,8 @@ from .errors import (BadParams, CircleCombError, DomainError,
                      EpsilonBelowResolution, NoConvergence,
                      NonIntegrableInput, NotAvailable, OutOfDomain,
                      QuadratureFailure, UndefinedHere, UnknownName)
-from .spectrum import DEFAULT_N, GridFunction, grid_coefficients, grid_nodes
+from .spectrum import (DEFAULT_N, GridFunction, check_interval,
+                       grid_coefficients, grid_nodes)
 
 _USAGE_ERRORS = (DomainError, OutOfDomain, BadParams, UnknownName,
                  NotAvailable, EpsilonBelowResolution)
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["filter-limit", "fourier", "disk"])
     p.add_argument("--grid", type=int, help="output grid size "
                                             "(default: input size)")
-    p.add_argument("--n", type=int, default=DEFAULT_N,
+    p.add_argument("--n", type=int,
                    help="truncation order for fourier/disk on grid input")
     p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list)
     p.add_argument("--rho-schedule", dest="rho_schedule", type=_float_list,
@@ -122,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_size(flag, value, least):
-    if not least <= value <= _MAX_SIZE:
+    """DomainError unless `value` is unset or lies in [least, _MAX_SIZE]."""
+    if value is not None and not least <= value <= _MAX_SIZE:
         raise DomainError(f"{flag} must lie in [{least}, {_MAX_SIZE}], "
                           f"got {value}")
 
@@ -146,15 +148,6 @@ def _is_json(path: str) -> bool:
     return str(path).lower().endswith(".json")
 
 
-def _grid_interpolant(grid, domain):
-    """The grid's evaluator; seam-aware for interval data."""
-    if domain is None:
-        from .realfilter import grid_evaluator
-        return grid_evaluator(grid)
-    from .rescale import IntervalMap, grid_pullback_evaluator
-    return grid_pullback_evaluator(grid, IntervalMap(*domain))
-
-
 def _write_doc(doc, path):
     if path:
         formats.save_json(path, doc)
@@ -172,10 +165,10 @@ def cmd_spectrum(args) -> int:
         entry = make(args.catalog, **_given(args, _CATALOG_FLAGS))
         seq = entry.coefficients(args.n)
     else:
+        _refuse_unread(args, _CATALOG_FLAGS, "spectrum --input")
         # Interval data is periodized: its seam jump becomes one more
         # piece of the interpolant.
-        grid, _ = formats.read_grid(args.input)
-        seq = grid_coefficients(grid.values, args.n)
+        seq = grid_coefficients(formats.read_grid(args.input).values, args.n)
     _write_doc(formats.coefficients_to_doc(seq), args.output)
     return 0
 
@@ -194,27 +187,17 @@ def cmd_filter(args) -> int:
     if args.method == "multiplier":
         raise DomainError("multiplier filtering needs coefficient JSON "
                           "input; grid CSV uses --method kernel")
-    grid, domain = formats.read_grid(args.input)
+    grid = formats.read_grid(args.input)
     if args.domain is not None:
-        domain = _domain_pair(args.domain)
-    if domain is not None:
+        grid = replace(grid, domain=check_interval(args.domain, "--domain"))
+    if grid.domain is not None:
         from .rescale import filter_physical_grid
-        out = filter_physical_grid(grid, domain, args.eps)
+        out = filter_physical_grid(grid, args.eps)
     else:
         from .realfilter import kernel_filter_grid
         out = kernel_filter_grid(grid, args.eps)
-    formats.write_grid(args.output, out, domain=domain)
+    formats.write_grid(args.output, out)
     return 0
-
-
-def _domain_pair(vals):
-    """--domain a,b under IntervalMap's rule: finite, b > a."""
-    if len(vals) != 2:
-        raise DomainError(f"--domain needs exactly a,b, got {len(vals)} "
-                          "numbers")
-    from .rescale import IntervalMap
-    chart = IntervalMap(*vals)
-    return (chart.a, chart.b)
 
 
 def cmd_classify(args) -> int:
@@ -226,9 +209,10 @@ def cmd_classify(args) -> int:
             formats.load_coefficients(args.input))
         report = classify.certificate_report(cert)
     else:
-        grid, domain = formats.read_grid(args.input)
+        from .realfilter import grid_evaluator
+        grid = formats.read_grid(args.input)
         report = classify.classify_pointwise(
-            _grid_interpolant(grid, domain), n_grid=grid.n,
+            grid_evaluator(grid), n_grid=grid.n,
             **_given(args, ("eps_schedule", "tol")))
     _write_doc(formats.report_to_doc(report), args.output)
     return 0
@@ -243,32 +227,31 @@ def _deltas_from_rhos(rhos) -> tuple:
 
 def cmd_comb(args) -> int:
     from . import classify
-    _refuse_unread(args, {"filter-limit": ("rho_schedule",),
+    _refuse_unread(args, {"filter-limit": ("rho_schedule", "n"),
                           "fourier": ("eps_schedule", "rho_schedule"),
                           "disk": ("eps_schedule",)}[args.method],
                    f"comb --method {args.method}")
     _check_size("--n", args.n, 1)
-    if args.grid is not None:
-        _check_size("--grid", args.grid, 2)
+    _check_size("--grid", args.grid, 2)
     if _is_json(args.input):
-        seq, grid, domain = formats.load_coefficients(args.input), None, None
+        _refuse_unread(args, ("n",), "comb on coefficient JSON")
+        seq, grid = formats.load_coefficients(args.input), None
     else:
-        seq = None
-        grid, domain = formats.read_grid(args.input)
+        seq, grid = None, formats.read_grid(args.input)
     n_grid = args.grid if args.grid is not None else \
         (grid.n if grid is not None else 256)
     if seq is None and args.method != "filter-limit":
-        if domain is not None:
+        if grid.domain is not None:
             raise NonIntegrableInput("interval data has no Fourier series: "
                                      "its seam at theta=-pi is not "
                                      "integrable")
-        seq = grid_coefficients(grid.values, args.n)
+        seq = grid_coefficients(grid.values, **_given(args, ("n",)))
 
     if args.method == "filter-limit":
         if grid is None:
             raise DomainError("filter-limit combing needs grid input")
-        out = classify.comb_by_filter_limit(_grid_interpolant(grid, domain),
-                                            n_grid,
+        from .realfilter import grid_evaluator
+        out = classify.comb_by_filter_limit(grid_evaluator(grid), n_grid,
                                             **_given(args, ("eps_schedule",)))
     elif args.method == "fourier":
         result = classify.comb_from_coefficients(
@@ -291,7 +274,8 @@ def cmd_eval(args) -> int:
                           "--rho-schedule")
     from .disk import boundary_value_grid, eval_ring, from_coefficients
     _check_size("--grid", args.grid, 2)
-    domain = _domain_pair(args.domain) if args.domain is not None else None
+    domain = None if args.domain is None \
+        else check_interval(args.domain, "--domain")
     seq = formats.load_coefficients(args.input)
     thetas = grid_nodes(args.grid)
     if args.rho is not None:
@@ -303,8 +287,8 @@ def cmd_eval(args) -> int:
         deltas = _deltas_from_rhos(args.rho_schedule)
         values, _, defined = boundary_value_grid(seq, thetas, deltas)
         note = "boundary values by radial extrapolation"
-    out = GridFunction(values=values, defined=defined, note=note)
-    formats.write_grid(args.output, out, domain=domain)
+    formats.write_grid(args.output, GridFunction(
+        values=values, defined=defined, note=note, domain=domain))
     return 0
 
 

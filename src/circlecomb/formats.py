@@ -27,7 +27,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import DomainError
-from .spectrum import CoefficientSequence, GridFunction, grid_nodes
+from .spectrum import (CoefficientSequence, GridFunction, check_interval,
+                       grid_nodes)
 
 _GRID_HEADER = "theta,value,defined"
 _GRID_ROW = "%.17g,%.17g,%d\n"
@@ -226,12 +227,9 @@ def _sidecar(path) -> str:
     return str(path) + ".json"
 
 
-def write_grid(path, grid: GridFunction, domain=None):
-    """Grid CSV plus a metadata sidecar at `<path>.json`.
-
-    `domain` [a, b], when given, marks the grid as living on a physical
-    interval; loaders transport such grids back to the circle.
-    """
+def write_grid(path, grid: GridFunction):
+    """Grid CSV plus a metadata sidecar at `<path>.json`, which records
+    the singular points, the note and, on interval data, the domain."""
     # GridFunction holds finite values where defined and NaN elsewhere,
     # which `%.17g` writes as "nan", so the rows need no checks.
     cells = zip(grid.thetas().tolist(), grid.values.tolist(),
@@ -242,9 +240,8 @@ def write_grid(path, grid: GridFunction, domain=None):
         fh.write(body)
     meta = {"singular_points": [float(s) for s in grid.singular_points],
             "note": grid.note}
-    if domain is not None:
-        lo, hi = float(domain[0]), float(domain[1])
-        meta["domain"] = [lo, hi]
+    if grid.domain is not None:
+        meta["domain"] = list(grid.domain)
     save_json(_sidecar(path), meta)
 
 
@@ -266,10 +263,7 @@ def _loose_flag(path, row, flag) -> DomainError:
 
 
 def read_grid(path):
-    """Load a grid CSV (and sidecar when present).
-
-    Returns (grid, domain) with domain None for plain circle grids.
-    """
+    """Load a grid CSV, and its sidecar when present."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().strip() != _GRID_HEADER:
@@ -315,13 +309,11 @@ def read_grid(path):
         if not isinstance(note, str):
             raise DomainError(f"{side}: note must be a string")
         if "domain" in meta:
-            domain = _finite_list(meta["domain"], f"{side}: domain [a, b]")
-            if len(domain) != 2 or not domain[0] < domain[1]:
-                raise DomainError(f"{side}: domain must be [a, b] with "
-                                  "b > a")
-    grid = GridFunction(values=values, defined=defined,
-                        singular_points=singulars, note=note)
-    return grid, domain
+            domain = check_interval(
+                _finite_list(meta["domain"], f"{side}: domain [a, b]"),
+                f"{side}: domain")
+    return GridFunction(values=values, defined=defined,
+                        singular_points=singulars, note=note, domain=domain)
 
 
 # ------------------------------------------------------------------ reports

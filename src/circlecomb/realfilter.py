@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DomainError, EpsilonBelowResolution, QuadratureFailure,
                      UndefinedHere)
-from .spectrum import (TWO_PI, CoefficientSequence, EvaluatorFunction,
+from .spectrum import (SEAM, TWO_PI, CoefficientSequence, EvaluatorFunction,
                        GridFunction, SingularPoint, circle_distance, sinc,
                        wrap_angle)
 
@@ -157,7 +157,10 @@ def kernel_filter_grid(grid: GridFunction, eps: float) -> GridFunction:
 
     Output nodes are undefined wherever an undefined input node lies
     within floor(q) + 1 of them, q = eps / h.  The window must span at
-    least one grid cell.
+    least one grid cell.  On interval data (`grid.domain` set) wrapping
+    would blend the two ends, so every node whose window, widened by
+    the cell it reads on each side, touches the seam is undefined too,
+    and the note says "boundary-masked".
     """
     if not (0.0 < eps <= math.pi):
         raise DomainError(f"window half-width {eps} outside (0, pi]")
@@ -167,9 +170,13 @@ def kernel_filter_grid(grid: GridFunction, eps: float) -> GridFunction:
             f"half-width {eps} below the grid spacing {h:.6g}; "
             "the window would see no neighbouring node")
     out = _interpolant_windows(grid, None, eps / h)
+    note = f"filtered(eps={eps:.17g}) {grid.note}".strip()
+    if grid.domain is not None:
+        out[circle_distance(grid.thetas(), math.pi) <= eps + h] = np.nan
+        note += " boundary-masked"
     return GridFunction(values=out, defined=~np.isnan(out),
-                        singular_points=grid.singular_points,
-                        note=f"filtered(eps={eps:.17g}) {grid.note}".strip())
+                        singular_points=grid.singular_points, note=note,
+                        domain=grid.domain)
 
 
 def window_averages(f: EvaluatorFunction, thetas, eps,
@@ -204,8 +211,7 @@ def window_averages(f: EvaluatorFunction, thetas, eps,
 
 
 def filter_limit(f: EvaluatorFunction, theta: float,
-                 eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
-                 tol: float = DEFAULT_FILTER_TOL):
+                 eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE):
     """Limit of window averages at `theta` as the window shrinks.
 
     Returns (value, residual).  The residual is the last extrapolation
@@ -215,7 +221,8 @@ def filter_limit(f: EvaluatorFunction, theta: float,
     """
     from ._extrap import check_eps_schedule, extrapolated_limit
     es = check_eps_schedule(eps_schedule)
-    vals = [kernel_filter_eval(f, theta, e, tol=tol) for e in es]
+    vals = [kernel_filter_eval(f, theta, e, tol=DEFAULT_FILTER_TOL)
+            for e in es]
     return extrapolated_limit(es, vals)
 
 
@@ -254,7 +261,9 @@ def grid_evaluator(grid: GridFunction) -> EvaluatorFunction:
     Between a defined node and an undefined one the interpolant has no
     value.  Its window averages are exact (`_interpolant_windows`); every
     node is also a quadrature pin, so that quadrature, their independent
-    reference, integrates it exactly piece by piece.
+    reference, integrates it exactly piece by piece.  On interval data
+    (`grid.domain` set) both seam ends are declared non-integrable, so
+    no window average blends the two ends.
     """
     n = grid.n
     h = TWO_PI / n
@@ -277,6 +286,7 @@ def grid_evaluator(grid: GridFunction) -> EvaluatorFunction:
 
     return EvaluatorFunction(
         rule=rule,
-        singular_points=tuple(SingularPoint(s) for s in grid.singular_points),
+        singular_points=tuple(SingularPoint(s) for s in grid.singular_points)
+        + (() if grid.domain is None else SEAM),
         quadrature_pins=tuple(float(t) for t in grid.thetas()),
         name="grid-interpolant", window_average=window_average)

@@ -11,13 +11,13 @@ is refused rather than silently blending g(a) with g(b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, OutOfDomain, UndefinedHere
-from .spectrum import (TWO_PI, EvaluatorFunction, GridFunction,
-                       SingularPoint, circle_distance, wrap_angle)
+from .spectrum import (SEAM, TWO_PI, EvaluatorFunction, GridFunction,
+                       SingularPoint, check_interval, wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,7 @@ class IntervalMap:
     b: float
 
     def __post_init__(self):
-        a, b = float(self.a), float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)) or not b > a:
-            raise DomainError(f"need finite b > a, got [{self.a}, {self.b}]")
+        a, b = check_interval((self.a, self.b))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -89,20 +87,18 @@ def pullback(g: EvaluatorFunction) -> EvaluatorFunction:
         th = np.asarray(th, dtype=float)
         return g.rule(m.from_canonical(wrap_angle(th)))
 
-    seam = (SingularPoint(-math.pi, integrable=False),
-            SingularPoint(math.pi, integrable=False))
     return EvaluatorFunction(
         rule=rule,
         singular_points=tuple(
             SingularPoint(m.to_canonical(s.theta), s.integrable)
-            for s in g.singular_points) + seam,
+            for s in g.singular_points) + SEAM,
         defect_points=tuple(m.to_canonical(p) for p in g.defect_points),
         quadrature_pins=tuple(m.to_canonical(p) for p in g.quadrature_pins),
         name=f"pullback-{g.name}" if g.name else "pullback")
 
 
-def transport_filter(g: EvaluatorFunction, x: float, eps_physical: float,
-                     tol: float = 1e-10) -> float:
+def transport_filter(g: EvaluatorFunction, x: float, eps_physical: float
+                     ) -> float:
     """Window average of an interval evaluator in its own coordinate.
 
     The whole window must fit inside [a, b]; averages have no meaning
@@ -125,48 +121,16 @@ def transport_filter(g: EvaluatorFunction, x: float, eps_physical: float,
     pins = tuple(sorted(p for p in g.pin_points() if lo < p < hi))
     from . import _quad
     value, _ = _quad.integrate(lambda u: g.sample(u), lo, hi, pins=pins,
-                               tol=tol * (hi - lo))
+                               tol=1e-10 * (hi - lo))
     return value / (hi - lo)
 
 
-def grid_pullback_evaluator(grid: GridFunction, m: IntervalMap
-                            ) -> EvaluatorFunction:
-    """Interpolant of a physical-domain grid, seam masked.
-
-    Rows of a domain-tagged grid sample g at the images of the
-    canonical nodes, so the values carry over node for node; only the
-    seam bookkeeping differs from a plain circle grid.
-    """
-    from .realfilter import grid_evaluator
-    ev = grid_evaluator(grid)
-    seam = (SingularPoint(-math.pi, integrable=False),
-            SingularPoint(math.pi, integrable=False))
-    return replace(ev, singular_points=ev.singular_points + seam,
-                   name=f"interval-{ev.name}")
-
-
-def mask_boundary_windows(grid: GridFunction, eps: float) -> GridFunction:
-    """Undefine filtered nodes whose window reached across the seam.
-
-    The circular grid filter wraps around; on interval data wrapping
-    means blending the two ends, so every node whose window, widened by
-    the interpolation cell it reads on each side, touches the seam
-    loses its value.
-    """
-    h = TWO_PI / grid.n
-    thetas = grid.thetas()
-    keep = circle_distance(thetas, math.pi) > eps + h
-    return GridFunction(
-        values=np.where(keep, grid.values, np.nan),
-        defined=grid.defined & keep,
-        singular_points=grid.singular_points,
-        note=grid.note + " boundary-masked")
-
-
-def filter_physical_grid(grid: GridFunction, domain, eps_physical: float
+def filter_physical_grid(grid: GridFunction, eps_physical: float
                          ) -> GridFunction:
-    """Window-average a domain-tagged grid with a physical half-width."""
+    """Window-average a domain-tagged grid with a physical half-width;
+    `kernel_filter_grid` masks the seam."""
+    if grid.domain is None:
+        raise DomainError("a physical half-width needs a grid with a domain")
     from .realfilter import kernel_filter_grid
-    m = IntervalMap(*domain)
-    eps = m.epsilon_to_canonical(eps_physical)
-    return mask_boundary_windows(kernel_filter_grid(grid, eps), eps)
+    m = IntervalMap(*grid.domain)
+    return kernel_filter_grid(grid, m.epsilon_to_canonical(eps_physical))

@@ -23,7 +23,12 @@ from .errors import DomainError, NonIntegrableInput, UndefinedHere
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_N = 256
-DEFAULT_COEFF_TOL = 1e-10
+
+# compute_coefficients: absolute tolerance on the worst coefficient,
+# judged between consecutive refinement levels, and the panels per
+# pin-delimited segment at the coarsest level.
+_COEFF_TOL = 1e-10
+_BASE_PANELS = 4
 
 # k-block size for chunked trigonometric sums; bounds temporary arrays.
 _CHUNK = 8192
@@ -53,6 +58,12 @@ class SingularPoint:
     """
     theta: float
     integrable: bool = True
+
+
+# Interval data's two ends meet at theta = +-pi.  Declared non-integrable,
+# they keep every window average from blending one end with the other.
+SEAM = (SingularPoint(-math.pi, integrable=False),
+        SingularPoint(math.pi, integrable=False))
 
 
 @dataclass(frozen=True)
@@ -147,6 +158,19 @@ class CoefficientSequence:
         return np.arange(1, self.n + 1, dtype=float)
 
 
+def check_interval(pair, source="interval"):
+    """`pair` as a tuple of floats (a, b), both finite with a < b: the one
+    rule for an interval.  DomainError naming `source` otherwise."""
+    vals = tuple(float(x) for x in pair)
+    if len(vals) != 2:
+        raise DomainError(f"{source} needs exactly a,b, got {len(vals)} "
+                          "numbers")
+    a, b = vals
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"{source} needs finite b > a, got [{a}, {b}]")
+    return vals
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Sampled values on the uniform symmetric grid of `grid_nodes`.
@@ -155,11 +179,15 @@ class GridFunction:
     must be finite wherever defined.  `singular_points` carries declared
     jump/kink angles through grid-level operations (grids cannot encode
     non-integrable points, their values are finite by construction).
+    `domain` (a, b), when set, marks interval data sampled at the images
+    of the nodes under x = a + (b - a)(theta + pi) / (2 pi): the seam at
+    theta = +-pi joins the two ends, and no window may cross it.
     """
     values: np.ndarray
     defined: np.ndarray
     singular_points: tuple = ()
     note: str = ""
+    domain: Optional[tuple] = None
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -176,6 +204,8 @@ class GridFunction:
         object.__setattr__(self, "defined", d)
         object.__setattr__(self, "singular_points",
                            tuple(float(s) for s in self.singular_points))
+        if self.domain is not None:
+            object.__setattr__(self, "domain", check_interval(self.domain))
 
     @property
     def n(self):
@@ -185,8 +215,7 @@ class GridFunction:
         return grid_nodes(self.n)
 
 
-def compute_coefficients(f, n=DEFAULT_N, panels_per_interval=4,
-                         tol=DEFAULT_COEFF_TOL):
+def compute_coefficients(f, n=DEFAULT_N):
     """Project an evaluator on the first `n` harmonics by panel quadrature.
 
     Parameters
@@ -196,11 +225,6 @@ def compute_coefficients(f, n=DEFAULT_N, panels_per_interval=4,
         flagged non-integrable.
     n : int
         Truncation order.
-    panels_per_interval : int
-        Panels per pin-delimited segment at the coarsest level.
-    tol : float
-        Absolute tolerance on the worst coefficient, judged between
-        consecutive refinement levels.
 
     Returns
     -------
@@ -212,7 +236,7 @@ def compute_coefficients(f, n=DEFAULT_N, panels_per_interval=4,
     NonIntegrableInput
         If any singular point is flagged non-integrable.
     QuadratureFailure
-        If the refinement budget runs out above `tol`, or at once where
+        If the refinement budget runs out above 1e-10, or at once where
         the evaluator has no value on a sampled stretch.
     """
     for s in f.singular_points:
@@ -236,7 +260,7 @@ def compute_coefficients(f, n=DEFAULT_N, panels_per_interval=4,
 
     from . import _quad
     values, estimate = _quad.refine(level, lo, hi, pins=f.pin_points(),
-                                    tol=tol, base_panels=panels_per_interval)
+                                    tol=_COEFF_TOL, base_panels=_BASE_PANELS)
     return CoefficientSequence(a0=values[0], a=values[1:n + 1],
                                b=values[n + 1:], quadrature_error=estimate)
 

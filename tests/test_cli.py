@@ -20,12 +20,14 @@ import circlecomb._quad
 from circlecomb import classify, cli, disk, realfilter, spectrum
 from circlecomb.catalog import make
 from circlecomb.formats import (
+    dumps_json,
     load_coefficients,
     read_grid,
+    report_to_doc,
     save_coefficients,
     write_grid,
 )
-from circlecomb.realfilter import GridFunction
+from circlecomb.realfilter import GridFunction, grid_evaluator, kernel_filter_grid
 from circlecomb.rescale import IntervalMap
 from circlecomb.spectrum import grid_nodes
 from conftest import reference_grid_csv, reference_json
@@ -127,8 +129,8 @@ class TestFilter:
         p = run_cli("filter", "--input", workdir / "cos256.csv",
                     "--eps", "0.1", "--output", out)
         assert p.returncode == 0
-        grid, domain = read_grid(out)
-        assert domain is None
+        grid = read_grid(out)
+        assert grid.domain is None
         model = np.cos(th) * math.sin(0.1) / 0.1
         assert np.max(np.abs(grid.values - model)) < 1e-4
 
@@ -137,14 +139,14 @@ class TestFilter:
         m = IntervalMap(0.0, 10.0)
         xs = m.from_canonical(grid_nodes(256))
         path = workdir / "phys.csv"
-        write_grid(path, GridFunction(np.cos(xs), np.ones(256, bool)),
-                   domain=(0.0, 10.0))
+        write_grid(path, GridFunction(np.cos(xs), np.ones(256, bool),
+                                      domain=(0.0, 10.0)))
         out = workdir / "physfiltered.csv"
         p = run_cli("filter", "--input", path, "--eps", "0.3",
                     "--output", out)
         assert p.returncode == 0
-        grid, domain = read_grid(out)
-        assert domain == (0.0, 10.0)
+        grid = read_grid(out)
+        assert grid.domain == (0.0, 10.0)
         assert not bool(grid.defined.all())  # seam neighbourhood masked
         assert grid.note.endswith("boundary-masked")
         model = np.cos(xs) * math.sin(0.3) / 0.3
@@ -158,8 +160,8 @@ class TestFilter:
         write_grid(path, GridFunction(np.ones(64), np.ones(64, bool)))
         assert cli.main(["filter", "--input", str(path), "--eps", "50",
                          "--domain", "0,100", "--output", str(out)]) == 0
-        grid, domain = read_grid(out)
-        assert domain == (0.0, 100.0)
+        grid = read_grid(out)
+        assert grid.domain == (0.0, 100.0)
         assert not grid.defined.any()
 
 
@@ -211,7 +213,7 @@ class TestComb:
                     "--method", "filter-limit", "--grid", "64",
                     "--output", out)
         assert p.returncode == 0
-        grid, _ = read_grid(out)
+        grid = read_grid(out)
         th = grid.thetas()
         # a sampled spike carries real mass, so its node is a hole ...
         assert list(th[~grid.defined]) == [pytest.approx(math.pi / 2)]
@@ -226,7 +228,7 @@ class TestComb:
         p = run_cli("comb", "--input", workdir / "cosseq.json",
                     "--method", "fourier", "--grid", "64", "--output", out)
         assert p.returncode == 0
-        grid, _ = read_grid(out)
+        grid = read_grid(out)
         assert np.array_equal(grid.values, np.cos(grid.thetas()))
         assert grid.note == "series reconstruction at n=32"
 
@@ -236,7 +238,7 @@ class TestComb:
                     "--method", "fourier", "--n", "16", "--grid", "64",
                     "--output", out)
         assert p.returncode == 0
-        grid, _ = read_grid(out)
+        grid = read_grid(out)
         assert grid.note.endswith("NonConvergent")
 
     def test_disk_route_from_coefficients(self, workdir):
@@ -244,7 +246,7 @@ class TestComb:
         p = run_cli("comb", "--input", workdir / "cosseq.json",
                     "--method", "disk", "--grid", "64", "--output", out)
         assert p.returncode == 0
-        grid, _ = read_grid(out)
+        grid = read_grid(out)
         assert np.max(np.abs(grid.values - np.cos(grid.thetas()))) < 1e-8
 
     def test_disk_route_accepts_a_radius_schedule(self, workdir):
@@ -254,7 +256,7 @@ class TestComb:
                     "--rho-schedule", "0.9,0.95,0.975,0.9875",
                     "--output", out)
         assert p.returncode == 0
-        grid, _ = read_grid(out)
+        grid = read_grid(out)
         assert np.max(np.abs(grid.values - np.cos(grid.thetas()))) < 1e-8
 
 
@@ -264,8 +266,8 @@ class TestEval:
         p = run_cli("eval", "--input", workdir / "cosseq.json",
                     "--rho", "0.5", "--grid", "64", "--output", out)
         assert p.returncode == 0
-        grid, domain = read_grid(out)
-        assert domain is None
+        grid = read_grid(out)
+        assert grid.domain is None
         assert np.array_equal(grid.values, 0.5 * np.cos(grid.thetas()))
         assert grid.note == "ring values at rho=0.5"
 
@@ -275,7 +277,7 @@ class TestEval:
                     "--rho-schedule", "0.99,0.995,0.9975,0.99875",
                     "--grid", "64", "--output", out)
         assert p.returncode == 0
-        grid, _ = read_grid(out)
+        grid = read_grid(out)
         assert np.max(np.abs(grid.values - np.cos(grid.thetas()))) < 1e-8
         assert grid.note == "boundary values by radial extrapolation"
 
@@ -285,8 +287,32 @@ class TestEval:
                     "--rho", "0.5", "--grid", "64",
                     "--domain", "0,10", "--output", out)
         assert p.returncode == 0
-        _, domain = read_grid(out)
-        assert domain == (0.0, 10.0)
+        assert read_grid(out).domain == (0.0, 10.0)
+
+
+def test_library_and_cli_agree_on_an_interval_grid(tmp_path):
+    # A ramp x sampled on [0, 10]: the library masks the seam from the
+    # grid's own domain, as the CLI does.
+    xs = IntervalMap(0.0, 10.0).from_canonical(grid_nodes(128))
+    path = tmp_path / "ramp.csv"
+    write_grid(path, GridFunction(xs, np.ones(128, bool), domain=(0.0, 10.0)))
+    grid = read_grid(path)
+
+    assert cli.main(["filter", "--input", str(path), "--eps", "0.5",
+                     "--output", str(tmp_path / "f.csv")]) == 0
+    cli_out = read_grid(tmp_path / "f.csv")
+    lib_out = kernel_filter_grid(
+        grid, IntervalMap(*grid.domain).epsilon_to_canonical(0.5))
+    assert np.array_equal(lib_out.defined, cli_out.defined)
+    assert not lib_out.defined.all()
+    assert np.array_equal(lib_out.values, cli_out.values, equal_nan=True)
+    assert lib_out.note == cli_out.note
+
+    assert cli.main(["classify", "--input", str(path),
+                     "--output", str(tmp_path / "r.json")]) == 0
+    report = classify.classify_pointwise(grid_evaluator(grid), n_grid=128)
+    assert (tmp_path / "r.json").read_text() == \
+        dumps_json(report_to_doc(report)) + "\n"
 
 
 class TestPipelines:
@@ -299,7 +325,7 @@ class TestPipelines:
         p = run_cli("comb", "--input", seq_path, "--method", "fourier",
                     "--grid", "1024", "--output", grid_path)
         assert p.returncode == 0
-        grid, _ = read_grid(grid_path)
+        grid = read_grid(grid_path)
         assert np.max(np.abs(grid.values - np.cos(grid.thetas()))) < 1e-5
 
     def test_reruns_are_byte_identical(self, workdir):
@@ -399,14 +425,15 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("domain", ["5,1", "nan,1", "0,inf"])
+    @pytest.mark.parametrize("domain", ["5,1", "nan,1", "0,inf", "1,2,3"])
     def test_eval_refuses_bad_domains_and_writes_nothing(
             self, workdir, tmp_path, capsys, domain):
         out = tmp_path / "ring.csv"
         assert cli.main(["eval", "--input", str(workdir / "cosseq.json"),
                          "--rho", "0.5", "--grid", "16", "--domain", domain,
                          "--output", str(out)]) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--domain" in err[0]
         assert not out.exists()
         assert not (tmp_path / "ring.csv.json").exists()
 
@@ -459,8 +486,15 @@ class TestExitCodes:
         ["comb", "--input", "{grid}", "--method", "filter-limit",
          "--rho-schedule", "0.5,0.2"],
         ["filter", "--input", "{seq}", "--eps", "0.1", "--domain", "0,1"],
+        ["comb", "--input", "{grid}", "--method", "filter-limit", "--n",
+         "3"],
+        ["comb", "--input", "{seq}", "--method", "fourier", "--n", "5",
+         "--grid", "64"],
+        ["comb", "--input", "{seq}", "--method", "disk", "--n", "5"],
+        ["spectrum", "--input", "{grid}", "--theta0", "1", "--k", "3"],
     ], ids=["classify-json", "fourier-eps", "fourier-rho", "disk-eps",
-            "filter-limit-rho", "filter-json-domain"])
+            "filter-limit-rho", "filter-json-domain", "filter-limit-n",
+            "fourier-json-n", "disk-json-n", "spectrum-input-catalog"])
     def test_flags_the_route_never_reads_exit_2(self, workdir, tmp_path,
                                                 capsys, argv):
         out = tmp_path / "out"
@@ -522,8 +556,8 @@ class TestGridRoutesRunNoQuadrature:
         write_grid(plain, GridFunction(np.sign(th), np.ones(64, bool),
                                        singular_points=(0.0, -math.pi)))
         tagged = tmp_path / "tagged.csv"
-        write_grid(tagged, GridFunction(np.cos(th), np.ones(64, bool)),
-                   domain=(0.0, 10.0))
+        write_grid(tagged, GridFunction(np.cos(th), np.ones(64, bool),
+                                        domain=(0.0, 10.0)))
         defined = np.ones(64, bool)
         defined[10] = False
         holey = tmp_path / "holey.csv"
@@ -785,12 +819,15 @@ class TestDefaultsComeFromTheLibrary:
                           make("cosine", k=1).coefficients(8))
         return tmp_path
 
-    def test_truncation_order(self):
+    def test_truncation_order(self, inputs, monkeypatch):
         parser = cli._build_parser()
-        for argv in (["spectrum", "--catalog", "cosine"],
-                     ["comb", "--input", "g.csv", "--method", "fourier",
-                      "--output", "o.csv"]):
-            assert parser.parse_args(argv).n == spectrum.DEFAULT_N
+        assert parser.parse_args(["spectrum", "--catalog", "cosine"]).n \
+            == spectrum.DEFAULT_N
+        calls = self.spy(monkeypatch, cli, "grid_coefficients")
+        assert cli.main(["comb", "--input", str(inputs / "cos.csv"),
+                         "--method", "fourier",
+                         "--output", str(inputs / "f.csv")]) == 0
+        assert calls[0]["n"] == spectrum.DEFAULT_N
 
     def test_classify_tolerance_and_schedule(self, inputs, monkeypatch):
         calls = self.spy(monkeypatch, classify, "classify_pointwise")

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,8 +185,8 @@ class TestGridFiles:
         grid = self.sample_grid()
         path = tmp_path / "grid.csv"
         write_grid(path, grid)
-        back, domain = read_grid(path)
-        assert domain is None
+        back = read_grid(path)
+        assert back.domain is None
         assert np.array_equal(back.defined, grid.defined)
         assert np.array_equal(back.values[back.defined],
                               grid.values[grid.defined])
@@ -194,24 +195,22 @@ class TestGridFiles:
 
     def test_domain_tag_round_trips(self, tmp_path):
         path = tmp_path / "grid.csv"
-        write_grid(path, self.sample_grid(), domain=(0.0, 10.0))
-        _, domain = read_grid(path)
-        assert domain == (0.0, 10.0)
+        write_grid(path, replace(self.sample_grid(), domain=(0.0, 10.0)))
+        assert read_grid(path).domain == (0.0, 10.0)
 
     def test_sidecar_is_optional(self, tmp_path):
         path = tmp_path / "grid.csv"
         write_grid(path, self.sample_grid())
         (tmp_path / "grid.csv.json").unlink()
-        back, domain = read_grid(path)
+        back = read_grid(path)
         assert back.singular_points == ()
         assert back.note == ""
-        assert domain is None
+        assert back.domain is None
 
     def test_rewrites_are_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_grid(p1, self.sample_grid(), domain=(0.0, 10.0))
-        grid, domain = read_grid(p1)
-        write_grid(p2, grid, domain=domain)
+        write_grid(p1, replace(self.sample_grid(), domain=(0.0, 10.0)))
+        write_grid(p2, read_grid(p1))
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.csv.json").read_bytes() == \
             (tmp_path / "b.csv.json").read_bytes()
@@ -326,11 +325,11 @@ class TestColumnWiseFormats:
             write_grid(path, grid)
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-            back, domain = read_grid(path)
+            back = read_grid(path)
         assert text == reference_grid_csv(grid.thetas(), grid.values,
                                           grid.defined)
         thetas, values, defined = reference_read_grid_rows(text)
-        assert domain is None
+        assert back.domain is None
         assert np.array_equal(thetas, grid_nodes(n))
         assert np.array_equal(back.defined, defined)
         # Bitwise on defined nodes, so -0.0 and subnormals count.
@@ -406,8 +405,8 @@ class TestGridReadsTakeTheFastPath:
                                                           domain):
         grid = drawn_grid(7, 65536, 0.1)
         path = tmp_path / "g.csv"
-        write_grid(path, grid, domain=domain)
-        back, back_domain = read_grid(path)
-        assert back_domain == domain
+        write_grid(path, replace(grid, domain=domain))
+        back = read_grid(path)
+        assert back.domain == domain
         assert np.array_equal(back.defined, grid.defined)
         assert np.array_equal(back.values, grid.values, equal_nan=True)

@@ -130,7 +130,7 @@ def inputs(tmp_path_factory):
     (["eval", "--input", "{d}/square.json", "--rho", "0.5", "--output",
       "{d}/e.csv"], {"disk", "_extrap"}),
     (["eval", "--input", "{d}/square.json", "--rho", "0.5", "--domain",
-      "0,1", "--output", "{d}/i.csv"], {"disk", "_extrap", "rescale"}),
+      "0,1", "--output", "{d}/i.csv"], {"disk", "_extrap"}),
 ], ids=["spectrum-catalog", "spectrum-input", "filter-kernel", "classify",
         "comb-filter-limit", "comb-fourier-tagged", "eval-rho",
         "eval-rho-domain"])

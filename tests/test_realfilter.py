@@ -21,7 +21,6 @@ from circlecomb.realfilter import (
     multiplier_filter,
     window_averages,
 )
-from circlecomb.rescale import IntervalMap, grid_pullback_evaluator
 from circlecomb.spectrum import (CoefficientSequence, EvaluatorFunction,
                                  SingularPoint, compute_coefficients,
                                  grid_nodes)
@@ -212,9 +211,8 @@ def test_grid_windows_match_interpolant_quadrature(rng, n_nodes, domain):
     # One window per centre, narrower than a cell, over data with holes.
     v = 3.0 * rng.standard_normal(n_nodes) + rng.uniform(-5.0, 5.0)
     defined = rng.uniform(size=n_nodes) > 0.1
-    g = GridFunction(values=np.where(defined, v, np.nan), defined=defined)
-    f = grid_evaluator(g) if domain is None \
-        else grid_pullback_evaluator(g, IntervalMap(*domain))
+    f = grid_evaluator(GridFunction(values=np.where(defined, v, np.nan),
+                                    defined=defined, domain=domain))
     h = 2 * PI / n_nodes
     # Centres anywhere, and within a cell of the seam on both sides.
     thetas = np.concatenate([rng.uniform(-PI, PI, 150),

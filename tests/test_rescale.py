@@ -1,18 +1,22 @@
 """Affine transport between physical intervals and the canonical circle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from circlecomb.classify import COMBED, RAGGED, SPIKE_MISMATCH, classify_pointwise
 from circlecomb.errors import DomainError, OutOfDomain, UndefinedHere
-from circlecomb.realfilter import GridFunction, kernel_filter_eval
+from circlecomb.realfilter import (
+    GridFunction,
+    grid_evaluator,
+    kernel_filter_eval,
+    kernel_filter_grid,
+)
 from circlecomb.rescale import (
     IntervalMap,
     filter_physical_grid,
-    grid_pullback_evaluator,
-    mask_boundary_windows,
     pullback,
     transport_filter,
 )
@@ -55,6 +59,8 @@ class TestIntervalMap:
         for a, b in [(3.0, 3.0), (5.0, 1.0), (0.0, math.inf)]:
             with pytest.raises(DomainError):
                 IntervalMap(a, b)
+            with pytest.raises(DomainError):
+                GridFunction(np.zeros(4), np.ones(4, bool), domain=(a, b))
 
     def test_window_width_scaling(self):
         assert IntervalMap(0.0, 2 * math.pi).epsilon_map(0.1) == 0.1
@@ -181,7 +187,7 @@ class TestPhysicalGrids:
     def test_grid_pullback_interpolates_physical_data(self):
         m, xs = self.physical_samples()
         grid = GridFunction(np.cos(xs), np.ones(self.N, bool))
-        f = grid_pullback_evaluator(grid, m)
+        f = grid_evaluator(replace(grid, domain=self.DOMAIN))
         theta = m.to_canonical(2.5)
         assert float(f(theta)) == pytest.approx(math.cos(2.5), abs=1e-12)
         hard = [(s.theta, s.integrable) for s in f.singular_points]
@@ -191,18 +197,20 @@ class TestPhysicalGrids:
         m, xs = self.physical_samples()
         grid = GridFunction(np.cos(xs), np.ones(self.N, bool), note="raw")
         eps = 0.2
-        masked = mask_boundary_windows(grid, eps)
+        masked = kernel_filter_grid(replace(grid, domain=self.DOMAIN), eps)
         h = 2.0 * math.pi / self.N
         keep = circle_distance(grid.thetas(), math.pi) > eps + h
         assert np.array_equal(masked.defined, keep)
         assert np.all(np.isnan(masked.values[~keep]))
-        assert masked.note == "raw boundary-masked"
+        assert masked.note == "filtered(eps=0.20000000000000001) raw " \
+            "boundary-masked"
 
     def test_filtered_physical_grid_matches_the_window_model(self):
         m, xs = self.physical_samples()
         grid = GridFunction(np.cos(xs), np.ones(self.N, bool))
         eps_phys = m.epsilon_map(0.2)
-        out = filter_physical_grid(grid, self.DOMAIN, eps_phys)
+        out = filter_physical_grid(replace(grid, domain=self.DOMAIN),
+                                   eps_phys)
         assert not bool(out.defined.all())  # seam nodes are masked
         good = out.defined
         model = np.cos(xs) * math.sin(eps_phys) / eps_phys
@@ -215,15 +223,15 @@ class TestPhysicalGrids:
         xs = m.from_canonical(th)
 
         smooth = GridFunction(np.cos(xs), np.ones(4096, bool))
-        rep = classify_pointwise(grid_pullback_evaluator(smooth, m),
-                                 n_grid=256)
+        rep = classify_pointwise(
+            grid_evaluator(replace(smooth, domain=self.DOMAIN)), n_grid=256)
         assert rep.overall == COMBED
 
         values = np.cos(xs)
         values[2048] = 50.0  # x = 5.0, the image of theta = 0
         spiked = GridFunction(values, np.ones(4096, bool))
-        rep = classify_pointwise(grid_pullback_evaluator(spiked, m),
-                                 n_grid=256)
+        rep = classify_pointwise(
+            grid_evaluator(replace(spiked, domain=self.DOMAIN)), n_grid=256)
         assert rep.overall == RAGGED
         flagged = [n.theta for n in rep.nodes if n.verdict == SPIKE_MISMATCH]
         assert flagged == [0.0]
