@@ -20,6 +20,10 @@ from .errors import QuadratureFailure
 GAUSS_ORDER = 16
 MAX_DOUBLINGS = 12
 
+# The quadrature tolerance of every window average, relative to the
+# window's width.
+WINDOW_TOL = 1e-12
+
 
 @cache
 def _gauss_rule():
@@ -60,8 +64,7 @@ def _refine(edges):
     return out
 
 
-def refine(level, lo, hi, pins=(), tol=1e-10, base_panels=1,
-           max_doublings=MAX_DOUBLINGS):
+def refine(level, lo, hi, pins=(), tol=1e-10, base_panels=1):
     """Double the panels over [lo, hi] until two levels agree to `tol`.
 
     `level(x, w)` maps one panel set's flat sample abscissae and weights
@@ -74,7 +77,7 @@ def refine(level, lo, hi, pins=(), tol=1e-10, base_panels=1,
     edges = _initial_edges(lo, hi, pins, base_panels)
     value = level(*_panel_samples(edges))
     estimate = np.inf
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         edges = _refine(edges)
         new = level(*_panel_samples(edges))
         diff = abs(new - value)
@@ -83,18 +86,15 @@ def refine(level, lo, hi, pins=(), tol=1e-10, base_panels=1,
         if not math.isfinite(estimate):
             raise QuadratureFailure(
                 f"non-finite level difference {estimate}: the integrand "
-                "is undefined or infinite on the range",
-                value=value, estimate=estimate)
+                "is undefined or infinite on the range", estimate=estimate)
         if estimate <= tol:
             return value, estimate
     raise QuadratureFailure(
-        f"panel refinement exhausted ({max_doublings} doublings), "
-        f"estimate {estimate:.3e} > tol {tol:.3e}",
-        value=value, estimate=estimate)
+        f"panel refinement exhausted ({MAX_DOUBLINGS} doublings), "
+        f"estimate {estimate:.3e} > tol {tol:.3e}", estimate=estimate)
 
 
-def integrate(fn, lo, hi, pins=(), tol=1e-10, base_panels=1,
-              max_doublings=MAX_DOUBLINGS):
+def integrate(fn, lo, hi, pins=(), tol=1e-10):
     """Integrate `fn` over [lo, hi] with panel boundaries pinned at `pins`.
 
     Parameters
@@ -109,8 +109,6 @@ def integrate(fn, lo, hi, pins=(), tol=1e-10, base_panels=1,
     tol : float
         Absolute tolerance on the difference of two consecutive
         refinement levels.
-    base_panels : int
-        Panels per pin-delimited segment at the coarsest level.
 
     Returns
     -------
@@ -123,5 +121,4 @@ def integrate(fn, lo, hi, pins=(), tol=1e-10, base_panels=1,
         See :func:`refine`.
     """
     return refine(lambda x, w: float(np.dot(w, fn(x))), lo, hi, pins=pins,
-                  tol=tol, base_panels=base_panels,
-                  max_doublings=max_doublings)
+                  tol=tol)

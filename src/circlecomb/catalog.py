@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import BadParams, DomainError, NotAvailable, UnknownName
 from .spectrum import (DEFAULT_N, CoefficientSequence, EvaluatorFunction,
-                       SingularPoint, angular_derivative, circle_distance,
-                       sinc, wrap_angle)
+                       SingularPoint, angular_derivative, check_half_width,
+                       circle_distance, sinc, wrap_angle)
 
 COMBED = "combed"
 RAGGED = "ragged"
@@ -57,8 +57,7 @@ class CatalogEntry:
 
 def exact_filtered(entry: CatalogEntry, eps: float) -> EvaluatorFunction:
     """Closed form of the window average, for entries that have one."""
-    if not (0.0 < eps <= math.pi):
-        raise DomainError(f"window half-width {eps} outside (0, pi]")
+    check_half_width(eps)
     if entry.filtered_fn is None:
         raise NotAvailable(
             f"no closed filtered form for catalog entry {entry.name!r}")
@@ -411,7 +410,7 @@ def _build_spiked(raw):
     ev = EvaluatorFunction(
         rule=rule,
         singular_points=base_ev.singular_points,
-        defect_points=base_ev.defect_points + (point,),
+        quadrature_pins=base_ev.quadrature_pins + (point,),
         name=f"spiked-{base_name}")
 
     return CatalogEntry(

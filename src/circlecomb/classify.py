@@ -71,8 +71,7 @@ class CoefficientCertificate:
     max_final_gap: float
 
 
-def _window_limits(f: EvaluatorFunction, thetas: np.ndarray, es: np.ndarray,
-                   quad_tol: float):
+def _window_limits(f: EvaluatorFunction, thetas: np.ndarray, es: np.ndarray):
     """Shrinking-window limits at every node in one pass.
 
     Each node's schedule is `es`, shrunk as a whole so its windows clear
@@ -86,7 +85,7 @@ def _window_limits(f: EvaluatorFunction, thetas: np.ndarray, es: np.ndarray,
                        for s in f.singular_points], axis=0)
         shrink = (dist > _SNAP) & (dist < 2.0 * es[0])
         sched[:, shrink] = es[:, None] * (dist[shrink] / (2.0 * es[0]))
-    samples = window_averages(f, thetas, sched, quad_tol)
+    samples = window_averages(f, thetas, sched)
     return (sched, samples) + extrapolated_limits(sched, samples)
 
 
@@ -122,13 +121,12 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
         raise DomainError(f"tolerance must be positive, got {tol}")
     es = check_eps_schedule(eps_schedule)
     h_lateral = 2.0 * (2.0 * math.pi / n_grid)
-    quad_tol = min(1e-12, tol * 1e-3)
 
     thetas = grid_nodes(n_grid)
     f_vals = f.sample(thetas)
     live = np.flatnonzero(np.isfinite(f_vals))
     sched, samples, limits, corr, settled = _window_limits(
-        f, thetas[live], es, quad_tol)
+        f, thetas[live], es)
     residuals = np.abs(f_vals[live] - limits)
     trusted = settled & (corr <= 0.25 * tol)
     missed = trusted & (residuals > tol)
@@ -168,27 +166,21 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
 DEFAULT_CERT_EPS = (0.1, 0.05, 0.025, 0.0125)
 
 
-def classify_coefficients(seq: CoefficientSequence,
-                          eps_values: Sequence[float] = DEFAULT_CERT_EPS
-                          ) -> CoefficientCertificate:
+def classify_coefficients(seq: CoefficientSequence) -> CoefficientCertificate:
     """Coefficient data is combed unconditionally: its partial sums are
     trigonometric polynomials and the window average acts term-wise.
     The certificate records the multiplier sin(k eps)/(k eps) returning
-    to 1 at a low, a middle and the top harmonic."""
-    es = np.asarray(eps_values, dtype=float)
-    if es.size < 2 or not np.all((es > 0) & (es <= math.pi)) \
-            or not np.all(np.diff(es) < 0):
-        raise DomainError("certificate needs >= 2 strictly decreasing "
-                          "half-widths in (0, pi]")
+    to 1 at a low, a middle and the top harmonic, at the half-widths
+    `DEFAULT_CERT_EPS`."""
     if seq.n >= 1:
         ks = sorted({1, max(1, seq.n // 2), seq.n})
     else:
         ks = []
-    mults = tuple(tuple(float(sinc(k * e)) for e in es)
+    mults = tuple(tuple(float(sinc(k * e)) for e in DEFAULT_CERT_EPS)
                   for k in ks)
     gap = max((abs(1.0 - row[-1]) for row in mults), default=0.0)
     return CoefficientCertificate(verdict=COMBED, checked_k=tuple(ks),
-                                  eps_values=tuple(float(e) for e in es),
+                                  eps_values=DEFAULT_CERT_EPS,
                                   multipliers=mults, max_final_gap=gap)
 
 
@@ -211,7 +203,7 @@ def comb_by_filter_limit(f: EvaluatorFunction, n_grid: int = 256,
     """The limit function itself at every node; nodes without a settled
     limit become mask holes instead of errors."""
     _, _, values, _, settled = _window_limits(
-        f, grid_nodes(n_grid), check_eps_schedule(eps_schedule), 1e-12)
+        f, grid_nodes(n_grid), check_eps_schedule(eps_schedule))
     return GridFunction(
         values=values, defined=settled,
         singular_points=tuple(s.theta for s in f.singular_points),
@@ -270,18 +262,21 @@ def comb_from_coefficients(seq: CoefficientSequence, n_grid: int = 256,
 
 
 def comb_by_disk(seq: CoefficientSequence, n_grid: int = 256,
-                 delta_schedule: Optional[Sequence[float]] = None
-                 ) -> GridFunction:
+                 delta_schedule: Optional[Sequence[float]] = None,
+                 singular_points=None) -> GridFunction:
     """Comb through the disk route: radial boundary values at the nodes.
 
     Nodes whose ring values blow up (boundary singular points) are left
     undefined in the mask; no schedule means disk.DEFAULT_DELTA_SCHEDULE.
+    `singular_points` defaults to whatever the generator tag implies.
     """
     from .disk import DEFAULT_DELTA_SCHEDULE, boundary_value_grid
     if delta_schedule is None:
         delta_schedule = DEFAULT_DELTA_SCHEDULE
+    if singular_points is None:
+        singular_points = _generator_singulars(seq)
     thetas = grid_nodes(n_grid)
     values, _, defined = boundary_value_grid(seq, thetas, delta_schedule)
     return GridFunction(values=values, defined=defined,
-                        singular_points=_generator_singulars(seq),
+                        singular_points=tuple(singular_points),
                         note=f"radial boundary values at n={seq.n}")

@@ -17,16 +17,14 @@ import numpy as np
 
 from . import formats
 from .errors import (BadParams, CircleCombError, DomainError,
-                     EpsilonBelowResolution, NoConvergence,
-                     NonIntegrableInput, NotAvailable, OutOfDomain,
-                     QuadratureFailure, UndefinedHere, UnknownName)
+                     EpsilonBelowResolution, NonIntegrableInput,
+                     NotAvailable, OutOfDomain, UnknownName)
 from .spectrum import (DEFAULT_N, GridFunction, check_interval,
                        grid_coefficients, grid_nodes)
 
+# Every other CircleCombError is a numeric failure, exit 3.
 _USAGE_ERRORS = (DomainError, OutOfDomain, BadParams, UnknownName,
                  NotAvailable, EpsilonBelowResolution)
-_NUMERIC_ERRORS = (QuadratureFailure, NonIntegrableInput, NoConvergence,
-                   UndefinedHere)
 
 # Catalog parameters exposed as flags.
 _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
@@ -240,6 +238,7 @@ def cmd_comb(args) -> int:
         seq, grid = None, formats.read_grid(args.input)
     n_grid = args.grid if args.grid is not None else \
         (grid.n if grid is not None else 256)
+    singulars = None if grid is None else grid.singular_points
     if seq is None and args.method != "filter-limit":
         if grid.domain is not None:
             raise NonIntegrableInput("interval data has no Fourier series: "
@@ -255,15 +254,15 @@ def cmd_comb(args) -> int:
                                             **_given(args, ("eps_schedule",)))
     elif args.method == "fourier":
         result = classify.comb_from_coefficients(
-            seq, n_grid, singular_points=None if grid is None
-            else grid.singular_points)
+            seq, n_grid, singular_points=singulars)
         out = result.grid
         if result.non_convergent:
             out = replace(out, note=out.note + " NonConvergent")
     else:
         deltas = None if args.rho_schedule is None \
             else _deltas_from_rhos(args.rho_schedule)
-        out = classify.comb_by_disk(seq, n_grid, delta_schedule=deltas)
+        out = classify.comb_by_disk(seq, n_grid, delta_schedule=deltas,
+                                    singular_points=singulars)
     formats.write_grid(args.output, out)
     return 0
 
@@ -314,15 +313,12 @@ def main(argv=None) -> int:
         except _USAGE_ERRORS as exc:
             print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
             return 2
-        except _NUMERIC_ERRORS as exc:
-            print(f"circlecomb {args.command}: numeric failure: {exc}",
-                  file=sys.stderr)
-            return 3
         except OSError as exc:
             print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
             return 2
         except CircleCombError as exc:
-            print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
+            print(f"circlecomb {args.command}: numeric failure: {exc}",
+                  file=sys.stderr)
             return 3
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._extrap import neville_to_zero
 from .errors import DomainError, OutOfDomain
-from .spectrum import CoefficientSequence, horner, sinc
+from .spectrum import CoefficientSequence, check_half_width, horner, sinc
 
 DEFAULT_DELTA_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
@@ -156,8 +156,7 @@ def complex_filter(w: InnerAnalyticFunction, eps: float) -> InnerAnalyticFunctio
     pending k-power is preserved, so filtering commutes bitwise with
     `log_derivative` / `log_primitive`.
     """
-    if not (0.0 < eps <= np.pi):
-        raise DomainError(f"window half-width {eps} outside (0, pi]")
+    check_half_width(eps)
     k = np.arange(1, w.n + 1, dtype=float)
     return InnerAnalyticFunction(w.c * sinc(k * eps), w.log_power)
 
@@ -173,8 +172,7 @@ def arc_filter_eval(w: InnerAnalyticFunction, theta: float, eps: float,
     boundary circle rho = 1 itself is allowed here; this is the
     cross-check route against `complex_filter`.
     """
-    if not (0.0 < eps <= np.pi):
-        raise DomainError(f"window half-width {eps} outside (0, pi]")
+    check_half_width(eps)
     if not (0.0 <= rho <= 1.0):
         raise OutOfDomain(f"arc radius {rho} outside [0, 1]")
     coeffs = log_primitive(w).materialize()

@@ -21,9 +21,8 @@ class QuadratureFailure(CircleCombError):
     """Panel refinement exhausted its budget before reaching the tolerance,
     or met an integrand without a finite value."""
 
-    def __init__(self, message, value=None, estimate=None):
+    def __init__(self, message, estimate=None):
         super().__init__(message)
-        self.value = value
         self.estimate = estimate
 
 

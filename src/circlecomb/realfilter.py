@@ -21,25 +21,23 @@ import numpy as np
 from .errors import (DomainError, EpsilonBelowResolution, QuadratureFailure,
                      UndefinedHere)
 from .spectrum import (SEAM, TWO_PI, CoefficientSequence, EvaluatorFunction,
-                       GridFunction, SingularPoint, circle_distance, sinc,
-                       wrap_angle)
+                       GridFunction, SingularPoint, check_half_width,
+                       circle_distance, sinc, wrap_angle)
 
 DEFAULT_EPS_SCHEDULE = (0.2, 0.1, 0.05, 0.025)
 
-DEFAULT_FILTER_TOL = 1e-12
 
-
-def kernel_filter_eval(f: EvaluatorFunction, theta: float, eps: float,
-                       tol: float = 1e-10) -> float:
-    """Window average of a circle evaluator at one angle, by quadrature.
+def kernel_filter_eval(f: EvaluatorFunction, theta: float,
+                       eps: float) -> float:
+    """Window average of a circle evaluator at one angle, by quadrature
+    to `_quad.WINDOW_TOL` of the window's width.
 
     A non-integrable singular point anywhere in the closed window
     (endpoints count as inside) makes the average undefined.  Integrable
     singular points, spikes and interpolation pins become panel edges,
     so no quadrature abscissa ever lands on a removable defect.
     """
-    if not (0.0 < eps <= math.pi):
-        raise DomainError(f"window half-width {eps} outside (0, pi]")
+    check_half_width(eps)
     if not f.periodic:
         raise DomainError("kernel_filter_eval needs a full-circle evaluator; "
                           "use transport_filter for interval data")
@@ -57,15 +55,15 @@ def kernel_filter_eval(f: EvaluatorFunction, theta: float, eps: float,
     from . import _quad
     pins = np.add.outer(f.pin_points(), TWO_PI * np.array([-1, 0, 1]))
     value, _ = _quad.integrate(lambda x: f.sample(wrap_angle(x)), lo, hi,
-                               pins=np.unique(pins), tol=tol * (hi - lo))
+                               pins=np.unique(pins),
+                               tol=_quad.WINDOW_TOL * (hi - lo))
     return value / (hi - lo)
 
 
 def multiplier_filter(seq: CoefficientSequence, eps: float) -> CoefficientSequence:
     """Window average on the coefficient side: harmonic k is scaled by
     sin(k eps)/(k eps); the mean passes through unchanged."""
-    if not (0.0 < eps <= math.pi):
-        raise DomainError(f"window half-width {eps} outside (0, pi]")
+    check_half_width(eps)
     m = sinc(seq.k_values() * eps)
     return CoefficientSequence(seq.a0, seq.a * m, seq.b * m,
                                quadrature_error=seq.quadrature_error)
@@ -162,8 +160,7 @@ def kernel_filter_grid(grid: GridFunction, eps: float) -> GridFunction:
     the cell it reads on each side, touches the seam is undefined too,
     and the note says "boundary-masked".
     """
-    if not (0.0 < eps <= math.pi):
-        raise DomainError(f"window half-width {eps} outside (0, pi]")
+    check_half_width(eps)
     h = TWO_PI / grid.n
     if eps < h:
         raise EpsilonBelowResolution(
@@ -179,29 +176,26 @@ def kernel_filter_grid(grid: GridFunction, eps: float) -> GridFunction:
                         domain=grid.domain)
 
 
-def window_averages(f: EvaluatorFunction, thetas, eps,
-                    tol: float = DEFAULT_FILTER_TOL) -> np.ndarray:
+def window_averages(f: EvaluatorFunction, thetas, eps) -> np.ndarray:
     """Window averages of f at centres `thetas` (N,) and half-widths
     `eps` (m, N), one column per centre, NaN throughout where any of its
     windows has no average.
 
     Uses the evaluator's exact `window_average` when it has one, with
     every window that meets a declared non-integrable point masked as
-    `kernel_filter_eval` refuses it; otherwise `kernel_filter_eval` at
-    quadrature tolerance `tol`.
+    `kernel_filter_eval` refuses it; otherwise `kernel_filter_eval`.
     """
     eps = np.asarray(eps, dtype=float)
+    check_half_width(eps)
     if f.window_average is None:
         out = np.full(eps.shape, np.nan)
         for j, theta in enumerate(thetas):
             try:
-                out[:, j] = [kernel_filter_eval(f, float(theta), float(e),
-                                                tol=tol) for e in eps[:, j]]
+                out[:, j] = [kernel_filter_eval(f, float(theta), float(e))
+                             for e in eps[:, j]]
             except (UndefinedHere, QuadratureFailure):
                 pass
         return out
-    if not np.all((eps > 0.0) & (eps <= math.pi)):
-        raise DomainError("window half-widths must lie in (0, pi]")
     out = f.window_average(thetas, eps)
     for s in f.singular_points:
         if not s.integrable:
@@ -221,8 +215,7 @@ def filter_limit(f: EvaluatorFunction, theta: float,
     """
     from ._extrap import check_eps_schedule, extrapolated_limit
     es = check_eps_schedule(eps_schedule)
-    vals = [kernel_filter_eval(f, theta, e, tol=DEFAULT_FILTER_TOL)
-            for e in es]
+    vals = [kernel_filter_eval(f, theta, e) for e in es]
     return extrapolated_limit(es, vals)
 
 

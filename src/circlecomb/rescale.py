@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, OutOfDomain, UndefinedHere
 from .spectrum import (SEAM, TWO_PI, EvaluatorFunction, GridFunction,
-                       SingularPoint, check_interval, wrap_angle)
+                       SingularPoint, check_half_width, check_interval,
+                       wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,7 @@ class IntervalMap:
 
     def epsilon_map(self, eps_canonical: float) -> float:
         """Physical window half-width matching a canonical one."""
-        if not (0.0 < eps_canonical <= math.pi):
-            raise DomainError(f"canonical half-width {eps_canonical} "
-                              "outside (0, pi]")
+        check_half_width(eps_canonical)
         # The product can round an ulp past the half-length at pi.
         return min(self.length / TWO_PI * eps_canonical, 0.5 * self.length)
 
@@ -92,7 +91,6 @@ def pullback(g: EvaluatorFunction) -> EvaluatorFunction:
         singular_points=tuple(
             SingularPoint(m.to_canonical(s.theta), s.integrable)
             for s in g.singular_points) + SEAM,
-        defect_points=tuple(m.to_canonical(p) for p in g.defect_points),
         quadrature_pins=tuple(m.to_canonical(p) for p in g.quadrature_pins),
         name=f"pullback-{g.name}" if g.name else "pullback")
 
@@ -121,7 +119,7 @@ def transport_filter(g: EvaluatorFunction, x: float, eps_physical: float
     pins = tuple(sorted(p for p in g.pin_points() if lo < p < hi))
     from . import _quad
     value, _ = _quad.integrate(lambda u: g.sample(u), lo, hi, pins=pins,
-                               tol=1e-10 * (hi - lo))
+                               tol=_quad.WINDOW_TOL * (hi - lo))
     return value / (hi - lo)
 
 

@@ -74,18 +74,17 @@ class EvaluatorFunction:
     return one of the same shape (scalars also work).  It returns NaN
     wherever the function has no value.  `singular_points` declares
     jumps, kinks and poles so quadrature can pin panels there and
-    classification can keep its windows clear.  `defect_points` are
-    removable single-point defects (spikes): quadrature pins panels at
-    them so no sample abscissa ever lands on one, which makes them
-    invisible to every integral.  `quadrature_pins` are additional panel
-    anchors with no analytic meaning, e.g. interpolation nodes.
+    classification can keep its windows clear.  `quadrature_pins` are
+    further panel anchors: removable single-point defects (spikes), so
+    that no sample abscissa ever lands on one and every integral is
+    blind to them, and points with no analytic meaning, e.g.
+    interpolation nodes.
     `window_average`, when present, maps centres and half-widths (arrays)
     to exact window averages, NaN where a window reads no value, which
     `realfilter.window_averages` uses in place of quadrature.
     """
     rule: Callable
     singular_points: tuple = ()
-    defect_points: tuple = ()
     quadrature_pins: tuple = ()
     domain: tuple = (-math.pi, math.pi)
     name: str = ""
@@ -112,7 +111,6 @@ class EvaluatorFunction:
     def pin_points(self):
         """All abscissae that quadrature must place panel edges at."""
         pts = [s.theta for s in self.singular_points]
-        pts.extend(self.defect_points)
         pts.extend(self.quadrature_pins)
         return pts
 
@@ -156,6 +154,16 @@ class CoefficientSequence:
 
     def k_values(self):
         return np.arange(1, self.n + 1, dtype=float)
+
+
+def check_half_width(eps):
+    """DomainError unless every window half-width in `eps` (a scalar or
+    an array) lies in (0, pi]: the one rule for a window.  NaN fails."""
+    e = np.asarray(eps, dtype=float)
+    bad = ~((e > 0.0) & (e <= math.pi))
+    if np.any(bad):
+        shown = eps if e.ndim == 0 else e[bad][0]
+        raise DomainError(f"window half-width {shown} outside (0, pi]")
 
 
 def check_interval(pair, source="interval"):
@@ -282,7 +290,8 @@ def sinc(x):
 
 
 def partial_sum_eval(seq, theta, m=None):
-    """Evaluate the order-`m` partial sum at `theta` (scalar or array).
+    """Evaluate the order-`m` partial sum at `theta` (scalar or array),
+    by Horner's rule in e^{i theta}.
 
     `m` defaults to the full truncation order and must not exceed it.
     """
@@ -290,12 +299,7 @@ def partial_sum_eval(seq, theta, m=None):
     if not 0 <= m <= seq.n:
         raise DomainError(f"partial sum order {m} outside [0, {seq.n}]")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    acc = np.full(th.shape, seq.a0)
-    for k0 in range(0, m, _CHUNK):
-        k = np.arange(k0 + 1, min(k0 + _CHUNK, m) + 1, dtype=float)
-        kth = np.multiply.outer(th, k)
-        acc = acc + np.cos(kth) @ seq.a[k0:k0 + k.size] \
-                  + np.sin(kth) @ seq.b[k0:k0 + k.size]
+    acc = seq.a0 + horner(seq.complex_view()[:m], np.exp(1j * th)).real
     if np.ndim(theta) == 0:
         return float(acc[0])
     return acc
@@ -329,16 +333,10 @@ def horner(coeffs, z):
 
 
 def partial_sum_grid(seq, n_nodes, m=None):
-    """Partial sums on a uniform grid, by Horner's rule in e^{i theta}.
-
-    Equivalent to partial_sum_eval at grid_nodes(n_nodes), in memory
-    linear in the grid size and the order.
-    """
-    m = seq.n if m is None else int(m)
-    if not 0 <= m <= seq.n:
-        raise DomainError(f"partial sum order {m} outside [0, {seq.n}]")
-    z = np.exp(1j * grid_nodes(n_nodes))
-    return seq.a0 + horner(seq.complex_view()[:m], z).real
+    """Partial sums on a uniform grid: `partial_sum_eval` at
+    grid_nodes(n_nodes), in memory linear in the grid size and the
+    order."""
+    return partial_sum_eval(seq, grid_nodes(n_nodes), m)
 
 
 def grid_coefficients(values, n=DEFAULT_N):

@@ -230,7 +230,7 @@ class TestSpiked:
         assert float(ent.evaluator(0.5)) == 9.0
         assert float(ent.evaluator(0.6)) == pytest.approx(math.cos(0.6))
         assert ent.classification == RAGGED
-        assert 0.5 in ent.evaluator.defect_points
+        assert 0.5 in ent.evaluator.quadrature_pins
 
     def test_spiked_coefficients_delegate_to_the_base(self):
         ent = make("spiked", base="square_wave", point=0.5, value=9.0)

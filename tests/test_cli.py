@@ -249,6 +249,15 @@ class TestComb:
         grid = read_grid(out)
         assert np.max(np.abs(grid.values - np.cos(grid.thetas()))) < 1e-8
 
+    def test_grid_routes_keep_the_grid_singular_points(self, workdir,
+                                                       tmp_path):
+        for method in ("filter-limit", "fourier", "disk"):
+            out = tmp_path / f"{method}.csv"
+            assert cli.main(["comb", "--input", str(workdir / "step256.csv"),
+                             "--method", method, "--output", str(out)]) == 0
+            assert read_grid(out).singular_points == (-math.pi / 2,
+                                                      -math.pi), method
+
     def test_disk_route_accepts_a_radius_schedule(self, workdir):
         out = workdir / "comb_dr.csv"
         p = run_cli("comb", "--input", workdir / "cosseq.json",

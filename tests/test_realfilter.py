@@ -1,12 +1,15 @@
 """Window averages on the circle: kernel, multiplier and grid routes."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from circlecomb.catalog import exact_filtered, make
+from circlecomb.disk import arc_filter_eval, complex_filter, from_coefficients
 from circlecomb.errors import (DomainError, EpsilonBelowResolution,
                                NoConvergence, UndefinedHere)
 from circlecomb._extrap import extrapolated_limit
@@ -21,6 +24,7 @@ from circlecomb.realfilter import (
     multiplier_filter,
     window_averages,
 )
+from circlecomb.rescale import IntervalMap
 from circlecomb.spectrum import (CoefficientSequence, EvaluatorFunction,
                                  SingularPoint, compute_coefficients,
                                  grid_nodes)
@@ -93,6 +97,34 @@ def test_kernel_filter_validates_width():
     for eps in (0.0, -1.0, PI + 1e-9):
         with pytest.raises(DomainError):
             kernel_filter_eval(f, 0.0, eps)
+
+
+_SEQ = CoefficientSequence(0.5, [1.0, -0.5], [0.25, 0.0])
+HALF_WIDTH_ENTRY_POINTS = {
+    "kernel_filter_eval": lambda e: kernel_filter_eval(
+        EvaluatorFunction(rule=np.cos), 0.0, e),
+    "multiplier_filter": lambda e: multiplier_filter(_SEQ, e),
+    "kernel_filter_grid": lambda e: kernel_filter_grid(
+        GridFunction(np.cos(grid_nodes(16)), np.ones(16, bool)), e),
+    "window_averages": lambda e: window_averages(
+        grid_evaluator(GridFunction(np.cos(grid_nodes(16)),
+                                    np.ones(16, bool))),
+        np.zeros(2), np.full((1, 2), e)),
+    "complex_filter": lambda e: complex_filter(from_coefficients(_SEQ), e),
+    "arc_filter_eval": lambda e: arc_filter_eval(from_coefficients(_SEQ),
+                                                 0.0, e),
+    "exact_filtered": lambda e: exact_filtered(make("cosine", k=1), e),
+    "epsilon_map": lambda e: IntervalMap(0.0, 10.0).epsilon_map(e),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, PI + 1e-9, math.nan],
+                         ids=["zero", "past-pi", "nan"])
+@pytest.mark.parametrize("entry", sorted(HALF_WIDTH_ENTRY_POINTS))
+def test_every_window_refuses_the_same_half_widths(entry, eps):
+    message = re.escape(f"window half-width {eps} outside (0, pi]")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        HALF_WIDTH_ENTRY_POINTS[entry](eps)
 
 
 # ------------------------------------------------------- multiplier route
@@ -359,7 +391,7 @@ def test_filter_limit_ignores_a_single_point_spike():
     def rule(th):
         return np.where(th == 0.5, 99.0, np.cos(th))
 
-    f = EvaluatorFunction(rule=rule, defect_points=(0.5,))
+    f = EvaluatorFunction(rule=rule, quadrature_pins=(0.5,))
     value, _ = filter_limit(f, 0.5)
     assert value == pytest.approx(math.cos(0.5), abs=1e-8)
 

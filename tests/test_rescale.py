@@ -101,11 +101,11 @@ class TestPullback:
 
         g = EvaluatorFunction(rule=srule, domain=(0.0, 10.0),
                               singular_points=(SingularPoint(5.0),),
-                              defect_points=(2.5,))
+                              quadrature_pins=(2.5,))
         f = pullback(g)
         assert f.singular_points[0].theta == 0.0
         assert f.singular_points[0].integrable is True
-        assert f.defect_points == (-math.pi / 2,)
+        assert f.quadrature_pins == (-math.pi / 2,)
 
     def test_circle_evaluators_are_refused(self):
         with pytest.raises(DomainError, match="already lives on the circle"):

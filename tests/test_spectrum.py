@@ -87,8 +87,7 @@ def test_evaluator_sample_handles_scalar_only_rules():
 def test_evaluator_pin_points_collects_all_kinds():
     f = EvaluatorFunction(rule=np.cos,
                           singular_points=(SingularPoint(0.5),),
-                          defect_points=(1.0,),
-                          quadrature_pins=(-2.0,))
+                          quadrature_pins=(1.0, -2.0))
     assert sorted(f.pin_points()) == [-2.0, 0.5, 1.0]
 
 
