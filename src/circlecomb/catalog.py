@@ -67,6 +67,8 @@ def exact_filtered(entry: CatalogEntry, eps: float) -> EvaluatorFunction:
 def _finite(value, key) -> float:
     try:
         x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
     except (TypeError, ValueError):
         raise BadParams(f"parameter {key} must be a real number, "
                         f"got {value!r}") from None
@@ -82,9 +84,26 @@ def _integer(value, key) -> int:
     return int(x)
 
 
-def _no_leftovers(raw):
-    if raw:
-        raise BadParams(f"unknown parameters {sorted(raw)}")
+def _angle(value, key) -> float:
+    return wrap_angle(_finite(value, key))
+
+
+def _as_given(value, key):
+    return value
+
+
+# name -> (builder, {parameter: (parser, default)}), each table in
+# generator-tag order.  `make` parses the values, refuses leftover keys
+# and calls the builder with them; the builder returns the entry's other
+# fields (and "params" only to override a parsed value).
+_REGISTRY = {}
+
+
+def _entry(name, **table):
+    def register(builder):
+        _REGISTRY[name] = (builder, table)
+        return builder
+    return register
 
 
 def _alternating(k: np.ndarray) -> np.ndarray:
@@ -94,11 +113,8 @@ def _alternating(k: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- constant
 
-def _build_constant(raw):
-    raw = dict(raw)
-    c = _finite(raw.pop("c", 1.0), "c")
-    _no_leftovers(raw)
-
+@_entry("constant", c=(_finite, 1.0))
+def _build_constant(c):
     def rule(th):
         return np.full_like(np.asarray(th, dtype=float), c)
 
@@ -108,18 +124,13 @@ def _build_constant(raw):
         z = np.zeros(n)
         return c, z, z.copy()
 
-    return CatalogEntry(name="constant", params={"c": c},
-                        classification=COMBED, evaluator=ev,
-                        coeff_fn=coeffs,
-                        filtered_fn=lambda eps: ev)
+    return dict(evaluator=ev, coeff_fn=coeffs, filtered_fn=lambda eps: ev)
 
 
 # ------------------------------------------------------------------ cosine
 
-def _build_cosine(raw):
-    raw = dict(raw)
-    k = _integer(raw.pop("k", 1), "k")
-    _no_leftovers(raw)
+@_entry("cosine", k=(_integer, 1))
+def _build_cosine(k):
     if k < 1:
         raise BadParams(f"harmonic index k must be >= 1, got {k}")
 
@@ -142,9 +153,7 @@ def _build_cosine(raw):
 
         return EvaluatorFunction(rule=frule, name=f"filtered-cosine(k={k})")
 
-    return CatalogEntry(name="cosine", params={"k": k},
-                        classification=COMBED, evaluator=ev,
-                        coeff_fn=coeffs, filtered_fn=filtered)
+    return dict(evaluator=ev, coeff_fn=coeffs, filtered_fn=filtered)
 
 
 # ------------------------------------------------------------------- delta
@@ -183,21 +192,14 @@ def _pulse_evaluator(theta0, eps):
         name="filtered-delta")
 
 
-def _build_delta(raw):
-    raw = dict(raw)
-    theta0 = wrap_angle(_finite(raw.pop("theta0", 0.0), "theta0"))
-    _no_leftovers(raw)
-    return CatalogEntry(name="delta", params={"theta0": theta0},
-                        classification=COMBED, evaluator=None,
-                        coeff_fn=_delta_coeff_fn(theta0),
-                        filtered_fn=lambda eps: _pulse_evaluator(theta0, eps))
+@_entry("delta", theta0=(_angle, 0.0))
+def _build_delta(theta0):
+    return dict(evaluator=None, coeff_fn=_delta_coeff_fn(theta0),
+                filtered_fn=lambda eps: _pulse_evaluator(theta0, eps))
 
 
-def _build_delta_derivative(raw):
-    raw = dict(raw)
-    theta0 = wrap_angle(_finite(raw.pop("theta0", 0.0), "theta0"))
-    order = _integer(raw.pop("order", 1), "order")
-    _no_leftovers(raw)
+@_entry("delta_derivative", theta0=(_angle, 0.0), order=(_integer, 1))
+def _build_delta_derivative(theta0, order):
     if not (1 <= order <= 8):
         raise BadParams(f"derivative order must be in 1..8, got {order}")
     base = _delta_coeff_fn(theta0)
@@ -207,10 +209,7 @@ def _build_delta_derivative(raw):
         d = angular_derivative(CoefficientSequence(a0, a, b), order)
         return d.a0, np.array(d.a), np.array(d.b)
 
-    return CatalogEntry(name="delta_derivative",
-                        params={"theta0": theta0, "order": order},
-                        classification=COMBED, evaluator=None,
-                        coeff_fn=coeffs)
+    return dict(evaluator=None, coeff_fn=coeffs)
 
 
 # -------------------------------------------------------------------- step
@@ -243,15 +242,18 @@ def _step_filtered_fn(theta0, l_minus, l_plus):
     return filtered
 
 
-def _build_step(raw):
-    raw = dict(raw)
-    theta0 = wrap_angle(_finite(raw.pop("theta0", 0.0), "theta0"))
-    l_minus = _finite(raw.pop("l_minus", 0.0), "l_minus")
-    l_plus = _finite(raw.pop("l_plus", 1.0), "l_plus")
-    _no_leftovers(raw)
+@_entry("step", theta0=(_angle, 0.0), l_minus=(_finite, 0.0),
+        l_plus=(_finite, 1.0))
+def _build_step(theta0, l_minus, l_plus):
     if theta0 == -math.pi:
         raise BadParams("step jump cannot sit on the seam at -pi; "
                         "a single seam jump is the sawtooth pattern")
+    a0 = (l_minus * (theta0 + math.pi)
+          + l_plus * (math.pi - theta0)) / (2.0 * math.pi)
+    if not (math.isfinite(l_plus - l_minus) and math.isfinite(a0)):
+        raise BadParams(f"step levels l_minus={l_minus} and l_plus={l_plus} "
+                        "overflow: l_plus - l_minus and the mean level must "
+                        "be finite")
     mid = 0.5 * (l_minus + l_plus)
 
     def rule(th):
@@ -268,25 +270,19 @@ def _build_step(raw):
 
     def coeffs(n):
         k = np.arange(1, n + 1, dtype=float)
-        a0 = (l_minus * (theta0 + math.pi)
-              + l_plus * (math.pi - theta0)) / (2.0 * math.pi)
         a = (l_minus - l_plus) * np.sin(k * theta0) / (k * math.pi)
         b = (l_plus - l_minus) * (np.cos(k * theta0) - _alternating(k)) \
             / (k * math.pi)
         return a0, a, b
 
-    return CatalogEntry(
-        name="step",
-        params={"theta0": theta0, "l_minus": l_minus, "l_plus": l_plus},
-        classification=COMBED, evaluator=ev, coeff_fn=coeffs,
-        filtered_fn=_step_filtered_fn(theta0, l_minus, l_plus))
+    return dict(evaluator=ev, coeff_fn=coeffs,
+                filtered_fn=_step_filtered_fn(theta0, l_minus, l_plus))
 
 
 # ------------------------------------------------------------- square wave
 
-def _build_square_wave(raw):
-    _no_leftovers(dict(raw))
-
+@_entry("square_wave")
+def _build_square_wave():
     def rule(th):
         u = wrap_angle(np.asarray(th, dtype=float))
         out = np.sign(u)
@@ -302,16 +298,14 @@ def _build_square_wave(raw):
         b = np.where(np.mod(k, 2.0) == 1.0, 4.0 / (k * math.pi), 0.0)
         return 0.0, np.zeros(n), b
 
-    return CatalogEntry(name="square_wave", params={},
-                        classification=COMBED, evaluator=ev,
-                        coeff_fn=coeffs,
-                        filtered_fn=_step_filtered_fn(0.0, -1.0, 1.0))
+    return dict(evaluator=ev, coeff_fn=coeffs,
+                filtered_fn=_step_filtered_fn(0.0, -1.0, 1.0))
 
 
 # ----------------------------------------------------------- triangle wave
 
-def _build_triangle_wave(raw):
-    _no_leftovers(dict(raw))
+@_entry("triangle_wave")
+def _build_triangle_wave():
     c = 2.0 / math.pi
 
     def rule(th):
@@ -350,16 +344,13 @@ def _build_triangle_wave(raw):
         return EvaluatorFunction(rule=frule, quadrature_pins=pins,
                                  name="filtered-triangle")
 
-    return CatalogEntry(name="triangle_wave", params={},
-                        classification=COMBED, evaluator=ev,
-                        coeff_fn=coeffs, filtered_fn=filtered)
+    return dict(evaluator=ev, coeff_fn=coeffs, filtered_fn=filtered)
 
 
 # ---------------------------------------------------------------- sawtooth
 
-def _build_sawtooth(raw):
-    _no_leftovers(dict(raw))
-
+@_entry("sawtooth")
+def _build_sawtooth():
     def rule(th):
         u = wrap_angle(np.asarray(th, dtype=float))
         return np.where(u == -math.pi, 0.0, u)
@@ -373,33 +364,27 @@ def _build_sawtooth(raw):
         b = -2.0 * _alternating(k) / k
         return 0.0, np.zeros(n), b
 
-    return CatalogEntry(name="sawtooth", params={},
-                        classification=COMBED, evaluator=ev,
-                        coeff_fn=coeffs)
+    return dict(evaluator=ev, coeff_fn=coeffs)
 
 
 # ------------------------------------------------------------------ spiked
 
-def _build_spiked(raw):
-    raw = dict(raw)
-    base_name = raw.pop("base", "square_wave")
-    point = wrap_angle(_finite(raw.pop("point", 0.5), "point"))
-    value = _finite(raw.pop("value", 0.0), "value")
-    base_params = raw.pop("base_params", {})
-    _no_leftovers(raw)
-    if not isinstance(base_name, str) or base_name == "spiked":
+@_entry("spiked", base=(_as_given, "square_wave"), point=(_angle, 0.5),
+        value=(_finite, 0.0), base_params=(_as_given, {}))
+def _build_spiked(base, point, value, base_params):
+    if not isinstance(base, str) or base == "spiked":
         raise BadParams(f"spiked base must name another catalog entry, "
-                        f"got {base_name!r}")
+                        f"got {base!r}")
     if not isinstance(base_params, dict):
         raise BadParams("base_params must be a mapping")
-    base = make(base_name, **base_params)
-    if base.evaluator is None:
-        raise BadParams(f"catalog entry {base_name!r} has no pointwise "
+    entry = make(base, **base_params)
+    base_ev = entry.evaluator
+    if base_ev is None:
+        raise BadParams(f"catalog entry {base!r} has no pointwise "
                         "evaluator to spike")
-    if abs(float(base.evaluator(point)) - value) == 0.0:
+    if abs(float(base_ev(point)) - value) == 0.0:
         raise BadParams("the spike value equals the base value at that "
                         "point; nothing would change")
-    base_ev = base.evaluator
 
     def rule(th):
         th = np.asarray(th, dtype=float)
@@ -411,23 +396,17 @@ def _build_spiked(raw):
         rule=rule,
         singular_points=base_ev.singular_points,
         quadrature_pins=base_ev.quadrature_pins + (point,),
-        name=f"spiked-{base_name}")
+        name=f"spiked-{base}")
 
-    return CatalogEntry(
-        name="spiked",
-        params={"base": base_name, "point": point, "value": value,
-                "base_params": dict(base.params)},
-        classification=RAGGED, evaluator=ev,
-        coeff_fn=base.coeff_fn, filtered_fn=base.filtered_fn)
+    return dict(params={"base_params": dict(entry.params)},
+                classification=RAGGED, evaluator=ev,
+                coeff_fn=entry.coeff_fn, filtered_fn=entry.filtered_fn)
 
 
 # --------------------------------------------------------- conjugate delta
 
-def _build_conjugate_delta(raw):
-    raw = dict(raw)
-    theta0 = wrap_angle(_finite(raw.pop("theta0", 0.0), "theta0"))
-    _no_leftovers(raw)
-
+@_entry("conjugate_delta", theta0=(_angle, 0.0))
+def _build_conjugate_delta(theta0):
     def rule(th):
         d = wrap_angle(np.asarray(th, dtype=float) - theta0)
         with np.errstate(divide="ignore"):
@@ -445,23 +424,7 @@ def _build_conjugate_delta(raw):
                 -np.sin(j * theta0) / math.pi,
                 np.cos(j * theta0) / math.pi)
 
-    return CatalogEntry(name="conjugate_delta", params={"theta0": theta0},
-                        classification=COMBED, evaluator=ev,
-                        coeff_fn=coeffs)
-
-
-_REGISTRY = {
-    "constant": _build_constant,
-    "cosine": _build_cosine,
-    "delta": _build_delta,
-    "delta_derivative": _build_delta_derivative,
-    "step": _build_step,
-    "square_wave": _build_square_wave,
-    "triangle_wave": _build_triangle_wave,
-    "sawtooth": _build_sawtooth,
-    "spiked": _build_spiked,
-    "conjugate_delta": _build_conjugate_delta,
-}
+    return dict(evaluator=ev, coeff_fn=coeffs)
 
 
 def names() -> tuple:
@@ -471,8 +434,15 @@ def names() -> tuple:
 def make(name: str, **params) -> CatalogEntry:
     """Build a catalog entry by name; BadParams / UnknownName on misuse."""
     try:
-        builder = _REGISTRY[name]
+        builder, table = _REGISTRY[name]
     except KeyError:
         raise UnknownName(f"no catalog entry named {name!r}; known entries: "
                           f"{', '.join(names())}") from None
-    return builder(params)
+    raw = dict(params)
+    params = {key: parse(raw.pop(key, default), key)
+              for key, (parse, default) in table.items()}
+    if raw:
+        raise BadParams(f"unknown parameters {sorted(raw)}")
+    fields = {"classification": COMBED, **builder(**params)}
+    params.update(fields.pop("params", {}))
+    return CatalogEntry(name=name, params=params, **fields)

@@ -117,8 +117,9 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
     if n_grid < 16:
         raise DomainError(f"classification grid needs >= 16 nodes, "
                           f"got {n_grid}")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance tol must be positive and finite, "
+                          f"got {tol}")
     es = check_eps_schedule(eps_schedule)
     h_lateral = 2.0 * (2.0 * math.pi / n_grid)
 

@@ -22,11 +22,13 @@ from .errors import (BadParams, CircleCombError, DomainError,
 from .spectrum import (DEFAULT_N, GridFunction, check_interval,
                        grid_coefficients, grid_nodes)
 
+# Usage errors exit 2, as does a file that cannot be read or written.
 # Every other CircleCombError is a numeric failure, exit 3.
 _USAGE_ERRORS = (DomainError, OutOfDomain, BadParams, UnknownName,
-                 NotAvailable, EpsilonBelowResolution)
+                 NotAvailable, EpsilonBelowResolution, OSError)
 
-# Catalog parameters exposed as flags.
+# Catalog parameters exposed as flags.  Their strings go to
+# `catalog.make`, which parses them with the library's own rule.
 _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
                   "base", "point", "value")
 
@@ -51,28 +53,26 @@ def _float_list(text: str):
     return vals
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one line, `circlecomb <cmd>: <message>`, exit 2;
+    sub-parsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circlecomb",
         description="Window-average filtering, classification and combing "
                     "of periodic data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_catalog_flags(p):
-        p.add_argument("--catalog", help="catalog entry name")
-        p.add_argument("--theta0", type=float)
-        p.add_argument("--order", type=int)
-        p.add_argument("--c", type=float)
-        p.add_argument("--k", type=int)
-        p.add_argument("--l-minus", dest="l_minus", type=float)
-        p.add_argument("--l-plus", dest="l_plus", type=float)
-        p.add_argument("--base")
-        p.add_argument("--point", type=float)
-        p.add_argument("--value", type=float)
-
     p = sub.add_parser("spectrum", help="coefficients of a grid or a "
                                         "catalog entry")
-    add_catalog_flags(p)
+    p.add_argument("--catalog", help="catalog entry name")
+    for key in _CATALOG_FLAGS:
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key)
     p.add_argument("--input", help="grid CSV to integrate")
     p.add_argument("--n", type=int, default=DEFAULT_N)
     p.add_argument("--output", help="coefficient JSON path (default stdout)")
@@ -313,12 +313,9 @@ def main(argv=None) -> int:
         except _USAGE_ERRORS as exc:
             print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
             return 2
-        except OSError as exc:
-            print(f"circlecomb {args.command}: {exc}", file=sys.stderr)
-            return 2
-        except CircleCombError as exc:
-            print(f"circlecomb {args.command}: numeric failure: {exc}",
-                  file=sys.stderr)
+        except (CircleCombError, MemoryError) as exc:
+            print(f"circlecomb {args.command}: numeric failure: "
+                  f"{str(exc) or type(exc).__name__}", file=sys.stderr)
             return 3
 
 

@@ -167,15 +167,17 @@ def check_half_width(eps):
 
 
 def check_interval(pair, source="interval"):
-    """`pair` as a tuple of floats (a, b), both finite with a < b: the one
-    rule for an interval.  DomainError naming `source` otherwise."""
+    """`pair` as a tuple of floats (a, b) with a < b and a, b and b - a
+    finite: the one rule for an interval.  DomainError naming `source`
+    otherwise."""
     vals = tuple(float(x) for x in pair)
     if len(vals) != 2:
         raise DomainError(f"{source} needs exactly a,b, got {len(vals)} "
                           "numbers")
     a, b = vals
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"{source} needs finite b > a, got [{a}, {b}]")
+    if not (math.isfinite(b - a) and a < b):
+        raise DomainError(f"{source} needs finite b > a and a finite "
+                          f"b - a, got [{a}, {b}]")
     return vals
 
 

@@ -49,6 +49,8 @@ class TestRegistry:
             make("delta", theta0=math.nan)
         with pytest.raises(BadParams):
             make("constant", c=math.inf)
+        with pytest.raises(BadParams, match="parameter k must be finite"):
+            make("cosine", k=10 ** 400)
 
     def test_parameter_range_checks(self):
         with pytest.raises(BadParams):
@@ -59,6 +61,8 @@ class TestRegistry:
             make("delta_derivative", order=9)
         with pytest.raises(BadParams, match="seam"):
             make("step", theta0=-math.pi)
+        with pytest.raises(BadParams, match="l_plus - l_minus"):
+            make("step", l_minus=1e308, l_plus=-1e308)
 
     def test_truncation_order_is_validated(self):
         with pytest.raises(DomainError):

@@ -117,6 +117,8 @@ class TestClassifyEvaluators:
             classify_pointwise(f, n_grid=8)
         with pytest.raises(DomainError):
             classify_pointwise(f, tol=0.0)
+        with pytest.raises(DomainError, match="tol"):
+            classify_pointwise(f, tol=math.inf)
         with pytest.raises(DomainError):
             classify_pointwise(f, eps_schedule=(0.1, 0.2, 0.3))
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circlecomb._quad
-from circlecomb import classify, cli, disk, realfilter, spectrum
+from circlecomb import catalog, classify, cli, disk, realfilter, spectrum
 from circlecomb.catalog import make
 from circlecomb.formats import (
     dumps_json,
@@ -434,12 +434,13 @@ class TestExitCodes:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("domain", ["5,1", "nan,1", "0,inf", "1,2,3"])
+    @pytest.mark.parametrize("domain", ["5,1", "nan,1", "0,inf", "1,2,3",
+                                        "-1.7e308,1.7e308"])
     def test_eval_refuses_bad_domains_and_writes_nothing(
             self, workdir, tmp_path, capsys, domain):
         out = tmp_path / "ring.csv"
         assert cli.main(["eval", "--input", str(workdir / "cosseq.json"),
-                         "--rho", "0.5", "--grid", "16", "--domain", domain,
+                         "--rho", "0.5", "--grid", "16", f"--domain={domain}",
                          "--output", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--domain" in err[0]
@@ -519,7 +520,10 @@ class TestExitCodes:
           "0.9,nan,0.99"], "radii"),
         (["classify", "--input", "{grid}", "--eps-schedule", "nan,0.1,0.05"],
          "shrinking-window schedule"),
-    ], ids=["disk-rho", "classify-eps"])
+        (["classify", "--input", "{grid}", "--tol", "inf"], "tolerance tol"),
+        (["spectrum", "--catalog", "step", "--l-minus=1e308",
+          "--l-plus=-1e308"], "l_plus - l_minus"),
+    ], ids=["disk-rho", "classify-eps", "classify-tol-inf", "step-levels"])
     def test_nan_schedules_exit_2_with_one_line(self, workdir, tmp_path,
                                                 argv, message):
         out = tmp_path / "out"
@@ -528,6 +532,32 @@ class TestExitCodes:
         assert p.returncode == 2
         err = p.stderr.splitlines()
         assert len(err) == 1 and message in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["comb", "--method", "bogus"],
+        ["spectrum", "--n", "abc"],
+        ["filter", "--input", "x.csv", "--eps", "0.1"],
+    ], ids=["bad-choice", "bad-int", "missing-output"])
+    def test_parser_errors_are_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"circlecomb {argv[0]}: ")
+
+    def test_out_of_memory_exits_3_with_one_line(self, workdir, tmp_path,
+                                                 capsys, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "grid_coefficients", exhaust)
+        out = tmp_path / "out.json"
+        assert cli.main(["spectrum", "--input", str(workdir / "cos256.csv"),
+                         "--output", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "circlecomb spectrum: numeric failure: MemoryError\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -546,6 +576,53 @@ class TestExitCodes:
                                  "truncation tail bound")
         assert ".py" not in err[0]
         assert str(os.path.dirname(cli.__file__)) not in err[0]
+
+
+# A valid value of each numeric catalog parameter.
+SAMPLE = {"c": 3.25, "k": 3, "theta0": 0.8, "order": 2, "l_minus": -1.5,
+          "l_plus": 2.25, "point": 0.3, "value": 7.5}
+NUMERIC = [(name, key)
+           for name, (_, table) in sorted(catalog._REGISTRY.items())
+           for key, (parse, _) in table.items()
+           if parse is not catalog._as_given]
+
+
+class TestCatalogFlags:
+    """The CLI hands catalog flags to `catalog.make` as strings, so the
+    library's one rule parses both."""
+
+    @pytest.mark.parametrize("name,key", NUMERIC,
+                             ids=[f"{n}-{k}" for n, k in NUMERIC])
+    def test_strings_parse_as_their_values(self, name, key):
+        value = SAMPLE[key]
+        ref = make(name, **{key: value})
+        for text in (repr(value), repr(float(value))):
+            ent = make(name, **{key: text})
+            assert ent.params == ref.params
+            seq, want = ent.coefficients(16), ref.coefficients(16)
+            assert seq.generator == want.generator
+            assert seq.a0 == want.a0
+            assert np.array_equal(seq.a, want.a)
+            assert np.array_equal(seq.b, want.b)
+
+    def test_every_catalog_parameter_is_a_spectrum_flag(self):
+        parser = cli._build_parser()
+        for name, (_, table) in catalog._REGISTRY.items():
+            for key in set(table) - {"base_params"}:
+                args = parser.parse_args(
+                    ["spectrum", f"--{key.replace('_', '-')}", "1"])
+                assert getattr(args, key) == "1", (name, key)
+
+    @pytest.mark.parametrize("name,key", NUMERIC,
+                             ids=[f"{n}-{k}" for n, k in NUMERIC])
+    def test_non_numeric_flags_exit_2_with_the_catalog_message(
+            self, capsys, name, key):
+        assert cli.main(["spectrum", "--catalog", name,
+                         f"--{key.replace('_', '-')}", "abc"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"circlecomb spectrum: parameter {key} must be a "
+                       "real number, got 'abc'\n")
 
 
 class TestGridRoutesRunNoQuadrature:
