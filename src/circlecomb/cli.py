@@ -146,11 +146,12 @@ def _is_json(path: str) -> bool:
     return str(path).lower().endswith(".json")
 
 
-def _write_doc(doc, path):
+def _write_doc(text, path):
+    """A serialized document to `path`, or to stdout without one."""
     if path:
-        formats.save_json(path, doc)
+        formats.save_text(path, text)
     else:
-        sys.stdout.write(formats.dumps_json(doc) + "\n")
+        sys.stdout.write(text + "\n")
 
 
 def cmd_spectrum(args) -> int:
@@ -167,7 +168,7 @@ def cmd_spectrum(args) -> int:
         # Interval data is periodized: its seam jump becomes one more
         # piece of the interpolant.
         seq = grid_coefficients(formats.read_grid(args.input).values, args.n)
-    _write_doc(formats.coefficients_to_doc(seq), args.output)
+    _write_doc(formats.dumps_coefficients(seq), args.output)
     return 0
 
 
@@ -212,7 +213,7 @@ def cmd_classify(args) -> int:
         report = classify.classify_pointwise(
             grid_evaluator(grid), n_grid=grid.n,
             **_given(args, ("eps_schedule", "tol")))
-    _write_doc(formats.report_to_doc(report), args.output)
+    _write_doc(formats.dumps_report(report), args.output)
     return 0
 
 

@@ -134,7 +134,7 @@ def evaluate(w: InnerAnalyticFunction, point) -> complex:
         z = point.z
     else:
         z = complex(point)
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:        # written so that NaN fails it
             raise OutOfDomain(f"|z| = {abs(z)} is not strictly inside "
                               "the disk")
     return complex(horner(w.materialize(), z))

@@ -4,9 +4,11 @@ Every float is written as `%.17g`, enough to round-trip IEEE doubles
 exactly, and dictionary keys keep their insertion order, so the same
 data always produces byte-identical files.  JSON is written by this
 module's own writer, since the stdlib dumper writes shortest-roundtrip
-floats.  Both formats are written column-wise: a grid CSV and a list of
-flat records sharing their keys (coefficient terms, report nodes) each
-take one `%`-format over a flat tuple of cells.
+floats.  The three large bodies, the rows of a grid CSV, the terms of a
+coefficient document and the nodes of a report, are written straight
+from their data, each by one `%`-format over a flat tuple of cells;
+the small parts take the element-wise writer.  Every writer serializes
+before it opens its file, so a refused value leaves no file behind.
 
 Reads are strict; a malformed file raises `DomainError` naming it.
 Files must be UTF-8.  A grid CSV is the header `theta,value,defined`
@@ -37,6 +39,11 @@ _GRID_ROW = "%.17g,%.17g,%d\n"
 _GRID_FIELDS = np.dtype([("theta", float), ("value", float),
                          ("defined", np.int64)])
 
+# One coefficient term and one report node; `%.17g` cells come straight
+# from floats, `%s` cells are written beforehand.
+_TERM = '{"k": %d, "a": %.17g, "b": %.17g}'
+_NODE = '{"theta": %.17g, "verdict": %s, "value": %s, "residual": %s}'
+
 # The Python types json.loads gives JSON numbers; bool is not among them.
 _NUMBER = (int, float)
 
@@ -49,44 +56,6 @@ def _check_json_floats(values):
                           "use null for missing values")
     if not np.isfinite(x).all():
         raise DomainError("cannot serialize an infinite number")
-
-
-def _record_column(cells):
-    """A column of a record table as (format, cells), or None when it holds
-    anything but ints, strings, or floats with or without nulls."""
-    kinds = set(map(type, cells))
-    if kinds == {int}:
-        return "%d", cells
-    if kinds == {float}:
-        _check_json_floats(cells)
-        return "%.17g", cells
-    if kinds == {float, type(None)} or kinds == {type(None)}:
-        _check_json_floats([x for x in cells if x is not None])
-        return "%s", ["null" if x is None else "%.17g" % x for x in cells]
-    if kinds == {str}:
-        quoted = {s: json.dumps(s) for s in set(cells)}
-        return "%s", [quoted[s] for s in cells]
-    return None
-
-
-def _write_records(obj, out: list) -> bool:
-    """Write a non-empty list of flat dicts that share their string keys,
-    in one order, column by column; False, writing nothing, for any
-    other list.  The bytes are those of the element-wise path."""
-    keys = tuple(obj[0]) if obj and type(obj[0]) is dict else ()
-    if not keys or not all(type(k) is str for k in keys) \
-            or not all(type(r) is dict and tuple(r) == keys for r in obj):
-        return False
-    columns = [_record_column([r[k] for r in obj]) for k in keys]
-    if None in columns:
-        return False
-    row = "{" + ", ".join(f"{json.dumps(k).replace('%', '%%')}: {fmt}"
-                          for k, (fmt, _) in zip(keys, columns)) + "}"
-    cells = chain.from_iterable(zip(*(col for _, col in columns)))
-    out.append("[")
-    out.append(", ".join([row] * len(obj)) % tuple(cells))
-    out.append("]")
-    return True
 
 
 def _write_json(obj, out: list):
@@ -113,8 +82,6 @@ def _write_json(obj, out: list):
             _write_json(val, out)
         out.append("}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        if isinstance(obj, list) and _write_records(obj, out):
-            return
         out.append("[")
         for i, val in enumerate(obj):
             if i:
@@ -132,10 +99,14 @@ def dumps_json(obj) -> str:
     return "".join(out)
 
 
-def save_json(path, doc):
+def save_text(path, text: str):
+    """Write serialized `text`, so a refused value leaves no file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(doc))
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def save_json(path, doc):
+    save_text(path, dumps_json(doc))
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> DomainError:
@@ -156,16 +127,17 @@ def load_json(path):
 
 # ------------------------------------------------------------- coefficients
 
-def coefficients_to_doc(seq: CoefficientSequence) -> dict:
-    doc = {
-        "a0": float(seq.a0),
-        "n": int(seq.n),
-        "terms": [{"k": k, "a": a, "b": b} for k, a, b in
-                  zip(range(1, seq.n + 1), seq.a.tolist(), seq.b.tolist())],
-    }
+def dumps_coefficients(seq: CoefficientSequence) -> str:
+    """The coefficient document of `seq`: a0, n, the terms k = 1..n and
+    the generator tag when present.  The sequence holds finite floats
+    only, so no cell needs a check."""
+    cells = zip(range(1, seq.n + 1), seq.a.tolist(), seq.b.tolist())
+    text = ('{"a0": %.17g, "n": %d, "terms": [' % (seq.a0, seq.n)
+            + ", ".join([_TERM] * seq.n) % tuple(chain.from_iterable(cells))
+            + "]")
     if seq.generator is not None:
-        doc["generator"] = seq.generator
-    return doc
+        text += ', "generator": ' + dumps_json(seq.generator)
+    return text + "}"
 
 
 def coefficients_from_doc(doc) -> CoefficientSequence:
@@ -204,9 +176,6 @@ def coefficients_from_doc(doc) -> CoefficientSequence:
             a[i], b[i] = ak, bk
     except OverflowError:       # an integer beyond the float range
         raise DomainError("coefficients must be finite") from None
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-            and math.isfinite(a0)):
-        raise DomainError("coefficients must be finite")
     gen = doc.get("generator")
     if gen is not None and not isinstance(gen, dict):
         raise DomainError("generator tag must be an object")
@@ -214,7 +183,7 @@ def coefficients_from_doc(doc) -> CoefficientSequence:
 
 
 def save_coefficients(path, seq: CoefficientSequence):
-    save_json(path, coefficients_to_doc(seq))
+    save_text(path, dumps_coefficients(seq))
 
 
 def load_coefficients(path) -> CoefficientSequence:
@@ -318,16 +287,20 @@ def read_grid(path):
 
 # ------------------------------------------------------------------ reports
 
-def report_to_doc(report) -> dict:
-    nodes = []
-    for node in report.nodes:
-        nodes.append({
-            "theta": float(node.theta),
-            "verdict": node.verdict,
-            "value": None if node.value is None else float(node.value),
-            "residual": None if node.residual is None
-            else float(node.residual),
-        })
-    return {"overall": report.overall,
-            "params": report.params,
-            "nodes": nodes}
+def dumps_report(report) -> str:
+    """The report document: overall verdict, params, and one object per
+    node with its theta, verdict, value and residual (null when None)."""
+    def number(x):
+        return "null" if x is None else "%.17g" % x
+
+    nodes = report.nodes
+    _check_json_floats([x for node in nodes
+                        for x in (node.theta, node.value, node.residual)
+                        if x is not None])
+    quoted = {v: json.dumps(v) for v in {node.verdict for node in nodes}}
+    cells = chain.from_iterable(
+        (node.theta, quoted[node.verdict], number(node.value),
+         number(node.residual)) for node in nodes)
+    return '{"overall": %s, "params": %s, "nodes": [%s]}' % (
+        dumps_json(report.overall), dumps_json(report.params),
+        ", ".join([_NODE] * len(nodes)) % tuple(cells))

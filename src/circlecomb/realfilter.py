@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (DomainError, EpsilonBelowResolution, QuadratureFailure,
                      UndefinedHere)
 from .spectrum import (SEAM, TWO_PI, CoefficientSequence, EvaluatorFunction,
-                       GridFunction, SingularPoint, check_half_width,
-                       circle_distance, sinc, wrap_angle)
+                       GridFunction, SingularPoint, check_grid_sums,
+                       check_half_width, circle_distance, sinc, wrap_angle)
 
 DEFAULT_EPS_SCHEDULE = (0.2, 0.1, 0.05, 0.025)
 
@@ -125,6 +125,7 @@ def _interpolant_windows(grid: GridFunction, c, q):
     bad = bad_count[2:][hi] > bad_count[lo]
 
     v = np.where(grid.defined, grid.values, 0.0)
+    check_grid_sums(v)
     mean = np.mean(v)
     w = np.take(v - mean, ext, mode="wrap")
     cells = 0.5 * (w[:-1] + w[1:])

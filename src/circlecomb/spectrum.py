@@ -125,7 +125,7 @@ class CoefficientSequence:
     is a catalog tag {"name": ..., "params": {...}} that can regenerate
     the sequence exactly at any truncation order.  `quadrature_error` is
     the inter-level error estimate when the sequence came out of
-    numerical integration, None otherwise.
+    numerical integration, None otherwise.  Every coefficient is finite.
     """
     a0: float
     a: np.ndarray
@@ -134,13 +134,16 @@ class CoefficientSequence:
     quadrature_error: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "a0", float(self.a0))
         a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
         if a.ndim != 1 or a.shape != b.shape:
             raise DomainError("coefficient arrays must be 1-D and equal length")
+        if not (math.isfinite(self.a0) and np.all(np.isfinite(a))
+                and np.all(np.isfinite(b))):
+            raise DomainError("coefficients must be finite")
         a.setflags(write=False)
         b.setflags(write=False)
-        object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -181,13 +184,24 @@ def check_interval(pair, source="interval"):
     return vals
 
 
+def check_grid_sums(values):
+    """DomainError unless 2 sum |v| over the finite grid `values` is
+    finite: the bound on every sum that a grid's coefficients and window
+    averages take, with the mean taken out or not."""
+    with np.errstate(over="ignore"):
+        total = 2.0 * np.sum(np.abs(values))
+    if not np.isfinite(total):
+        raise DomainError("grid values too large: their sums overflow the "
+                          "float range")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Sampled values on the uniform symmetric grid of `grid_nodes`.
 
     `defined` marks nodes carrying a value; values are NaN elsewhere and
     must be finite wherever defined.  `singular_points` carries declared
-    jump/kink angles through grid-level operations (grids cannot encode
+    jump/kink angles (finite) through grid-level operations (grids cannot encode
     non-integrable points, their values are finite by construction).
     `domain` (a, b), when set, marks interval data sampled at the images
     of the nodes under x = a + (b - a)(theta + pi) / (2 pi): the seam at
@@ -214,6 +228,8 @@ class GridFunction:
         object.__setattr__(self, "defined", d)
         object.__setattr__(self, "singular_points",
                            tuple(float(s) for s in self.singular_points))
+        if not all(map(math.isfinite, self.singular_points)):
+            raise DomainError("grid singular points must be finite")
         if self.domain is not None:
             object.__setattr__(self, "domain", check_interval(self.domain))
 
@@ -243,12 +259,17 @@ def compute_coefficients(f, n=DEFAULT_N):
 
     Raises
     ------
+    DomainError
+        If `f` lives on an interval (see `rescale.pullback`).
     NonIntegrableInput
         If any singular point is flagged non-integrable.
     QuadratureFailure
         If the refinement budget runs out above 1e-10, or at once where
         the evaluator has no value on a sampled stretch.
     """
+    if not f.periodic:
+        raise DomainError("compute_coefficients needs a full-circle "
+                          "evaluator; use rescale.pullback for interval data")
     for s in f.singular_points:
         if not s.integrable:
             raise NonIntegrableInput(
@@ -352,12 +373,14 @@ def grid_coefficients(values, n=DEFAULT_N):
 
     with n > N reading the aliased bins.  UndefinedHere if any value is
     not finite: the interpolant has no value next to such a node.
+    DomainError if the sums overflow (`check_grid_sums`).
     """
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise UndefinedHere(
             f"{int(np.sum(~np.isfinite(v)))} of {v.size} grid nodes have "
             "no value, so the interpolant has no coefficients")
+    check_grid_sums(v)
     k = np.arange(1, n + 1)
     c = (2.0 / v.size) * np.fft.fft(v)[k % v.size] \
         * np.where(k % 2, -1.0, 1.0) * sinc(k * math.pi / v.size) ** 2

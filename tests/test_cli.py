@@ -20,10 +20,9 @@ import circlecomb._quad
 from circlecomb import catalog, classify, cli, disk, realfilter, spectrum
 from circlecomb.catalog import make
 from circlecomb.formats import (
-    dumps_json,
+    dumps_report,
     load_coefficients,
     read_grid,
-    report_to_doc,
     save_coefficients,
     write_grid,
 )
@@ -321,7 +320,7 @@ def test_library_and_cli_agree_on_an_interval_grid(tmp_path):
                      "--output", str(tmp_path / "r.json")]) == 0
     report = classify.classify_pointwise(grid_evaluator(grid), n_grid=128)
     assert (tmp_path / "r.json").read_text() == \
-        dumps_json(report_to_doc(report)) + "\n"
+        dumps_report(report) + "\n"
 
 
 class TestPipelines:
@@ -533,6 +532,28 @@ class TestExitCodes:
         err = p.stderr.splitlines()
         assert len(err) == 1 and message in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"],
+        ["filter", "--eps", "0.2"],
+        ["classify"],
+        ["comb", "--method", "filter-limit"],
+    ], ids=["spectrum", "filter", "classify", "comb-filter-limit"])
+    def test_grid_sums_that_overflow_exit_2_with_one_line(self, tmp_path,
+                                                           argv):
+        # Every value is finite, but the grid's mean, prefix sums and FFT
+        # are not.
+        path = tmp_path / "huge.csv"
+        write_grid(path, GridFunction(
+            np.where(grid_nodes(64) < 0.0, -1.7e308, 1.7e308),
+            np.ones(64, bool)))
+        out = tmp_path / "out"
+        p = run_cli(*argv, "--input", path, "--output", out)
+        assert p.returncode == 2
+        err = p.stderr.splitlines()
+        assert len(err) == 1 and "sums overflow" in err[0]
+        assert not out.exists()
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["comb", "--method", "bogus"],

@@ -96,6 +96,8 @@ def test_evaluate_rejects_points_outside_the_disk():
         evaluate(w, 1.0 + 0j)
     with pytest.raises(OutOfDomain):
         evaluate(w, 2.0j)
+    with pytest.raises(OutOfDomain):
+        evaluate(w, complex(float("nan"), 0.0))
 
 
 def test_ring_evaluation_matches_pointwise(rng):

@@ -1,5 +1,6 @@
 """Deterministic serialization: JSON coefficients, grid CSV, reports."""
 
+import json
 import math
 import os
 import tempfile
@@ -12,16 +13,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlecomb.catalog import make
-from circlecomb.classify import certificate_report, classify_coefficients, classify_pointwise
+from circlecomb.classify import (
+    COMBED,
+    JUMP_MIDPOINT_MISMATCH,
+    RAGGED,
+    RECOVERED,
+    SPIKE_MISMATCH,
+    UNDEFINED,
+    ClassificationReport,
+    NodeReport,
+    certificate_report,
+    classify_coefficients,
+    classify_pointwise,
+)
 from circlecomb.errors import DomainError
 from circlecomb.formats import (
     coefficients_from_doc,
-    coefficients_to_doc,
+    dumps_coefficients,
     dumps_json,
+    dumps_report,
     load_coefficients,
     load_json,
     read_grid,
-    report_to_doc,
     save_coefficients,
     save_json,
     write_grid,
@@ -94,6 +107,12 @@ class TestJsonWriter:
         save_json(path, doc)
         assert load_json(path) == doc
 
+    def test_a_refused_value_leaves_no_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(DomainError, match="NaN"):
+            save_json(path, {"x": math.nan})
+        assert not path.exists()
+
     def test_unparseable_files_are_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -104,7 +123,7 @@ class TestJsonWriter:
 class TestCoefficientDocuments:
     def test_doc_shape(self):
         seq = CoefficientSequence(0.5, [1.0, 0.0], [0.25, -1.0])
-        doc = coefficients_to_doc(seq)
+        doc = json.loads(dumps_coefficients(seq))
         assert doc == {"a0": 0.5, "n": 2,
                        "terms": [{"k": 1, "a": 1.0, "b": 0.25},
                                  {"k": 2, "a": 0.0, "b": -1.0}]}
@@ -113,7 +132,7 @@ class TestCoefficientDocuments:
         seq = CoefficientSequence(rng.standard_normal(),
                                   rng.standard_normal(12),
                                   rng.standard_normal(12))
-        back = coefficients_from_doc(coefficients_to_doc(seq))
+        back = coefficients_from_doc(json.loads(dumps_coefficients(seq)))
         assert back.a0 == seq.a0
         assert np.array_equal(back.a, seq.a)
         assert np.array_equal(back.b, seq.b)
@@ -122,7 +141,7 @@ class TestCoefficientDocuments:
     def test_generator_tag_survives(self):
         seq = make("step", theta0=0.5, l_minus=-1.0,
                    l_plus=2.0).coefficients(8)
-        back = coefficients_from_doc(coefficients_to_doc(seq))
+        back = coefficients_from_doc(json.loads(dumps_coefficients(seq)))
         assert back.generator == seq.generator
 
     def test_file_round_trip_is_bit_identical(self, tmp_path, rng):
@@ -144,7 +163,8 @@ class TestCoefficientDocuments:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_malformed_documents_are_rejected(self):
-        good = coefficients_to_doc(CoefficientSequence(0.0, [1.0], [2.0]))
+        good = json.loads(dumps_coefficients(
+            CoefficientSequence(0.0, [1.0], [2.0])))
         bad_docs = [
             "not a dict",
             {},
@@ -243,30 +263,37 @@ class TestGridFiles:
         values = np.array([math.inf, 0.0])
         with pytest.raises(DomainError, match="finite"):
             GridFunction(values, np.ones(2, dtype=bool))
+        # Nor a sidecar that would be refused after its CSV is written.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="singular points must be "
+                                                  "finite"):
+                GridFunction(np.zeros(2), np.ones(2, dtype=bool),
+                             singular_points=(0.5, bad))
 
 
 class TestReportDocuments:
     def test_pointwise_report_schema(self):
         report = classify_pointwise(make("cosine", k=1).evaluator, n_grid=16)
-        doc = report_to_doc(report)
+        doc = json.loads(dumps_report(report))
         assert set(doc) == {"overall", "params", "nodes"}
         assert doc["overall"] == "combed"
         assert doc["params"]["method"] == "pointwise"
         assert len(doc["nodes"]) == 16
         node = doc["nodes"][0]
         assert set(node) == {"theta", "verdict", "value", "residual"}
-        assert isinstance(node["value"], float)
-        assert isinstance(node["residual"], float)
+        # `%.17g` writes 1.0 as 1, which json.loads reads as an int.
+        assert type(node["value"]) in (int, float)
+        assert type(node["residual"]) in (int, float)
         # the whole document serializes deterministically
-        assert dumps_json(doc) == dumps_json(report_to_doc(report))
+        assert dumps_report(report) == dumps_report(report)
 
     def test_certificate_report_serializes(self):
         report = certificate_report(
             classify_coefficients(make("cosine", k=2).coefficients(8)))
-        doc = report_to_doc(report)
+        text = dumps_report(report)
+        doc = json.loads(text)
         assert doc["nodes"] == []
         assert doc["params"]["method"] == "coefficients"
-        text = dumps_json(doc)
         assert '"overall": "combed"' in text
 
     def test_undefined_nodes_serialize_as_null(self):
@@ -276,17 +303,18 @@ class TestReportDocuments:
         from circlecomb.realfilter import grid_evaluator
         report = classify_pointwise(grid_evaluator(
             GridFunction(values, defined)), n_grid=16)
-        doc = report_to_doc(report)
-        holes = [n for n in doc["nodes"] if n["verdict"] == "undefined"]
+        text = dumps_report(report)
+        holes = [n for n in json.loads(text)["nodes"]
+                 if n["verdict"] == "undefined"]
         assert holes
         assert all(n["value"] is None and n["residual"] is None
                    for n in holes)
-        assert "null" in dumps_json(doc)
+        assert "null" in text
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
-# Column strategies for record lists: homogeneous columns take the
-# column-wise writer, mixed ones the element-wise path.
+# Column strategies for record lists, which `dumps_json` writes element
+# by element whether their columns are homogeneous or mixed.
 record_columns = st.sampled_from([
     st.integers(-2 ** 70, 2 ** 70),
     finite_floats,
@@ -300,6 +328,25 @@ record_columns = st.sampled_from([
 ])
 
 
+# Report cells: the special floats, None, and every verdict.
+report_floats = st.sampled_from(SPECIAL_FLOATS) | finite_floats
+verdicts = st.sampled_from([RECOVERED, SPIKE_MISMATCH, JUMP_MIDPOINT_MISMATCH,
+                            UNDEFINED])
+
+
+@st.composite
+def reports(draw):
+    nodes = draw(st.lists(st.builds(
+        NodeReport, report_floats, verdicts, st.none() | report_floats,
+        st.none() | report_floats), max_size=40))
+    params = draw(st.fixed_dictionaries(
+        {"method": st.sampled_from(["pointwise", "coefficients"]),
+         "eps_schedule": st.lists(report_floats, max_size=4),
+         "tol": report_floats}))
+    return ClassificationReport(draw(st.sampled_from([COMBED, RAGGED])),
+                                params, tuple(nodes))
+
+
 @st.composite
 def record_lists(draw):
     keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4,
@@ -309,8 +356,9 @@ def record_lists(draw):
 
 
 class TestColumnWiseFormats:
-    """The column-wise writers give the bytes of the element-wise
-    reference in conftest, and the reader gives its arrays."""
+    """The writers of the three large bodies (grid rows, coefficient
+    terms, report nodes) give the bytes of the element-wise reference in
+    conftest, as `dumps_json` does, and the reader gives its arrays."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3000),
@@ -338,18 +386,41 @@ class TestColumnWiseFormats:
         assert np.all(np.isnan(back.values[~defined]))
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 3000))
-    @example(seed=0, n=0)
-    @example(seed=1, n=len(SPECIAL_FLOATS))
-    def test_coefficient_json_matches_the_element_reference(self, seed, n):
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 3000),
+           tagged=st.booleans())
+    @example(seed=0, n=0, tagged=False)
+    @example(seed=1, n=len(SPECIAL_FLOATS), tagged=True)
+    def test_coefficient_json_matches_the_element_reference(self, seed, n,
+                                                            tagged):
         rng = np.random.default_rng(seed)
         pool = float_pool(rng)
         a = rng.choice(pool, n)
         a[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n]
+        generator = {"name": "step", "params": {
+            "theta0": float(rng.choice(pool)), "l_minus": -1}} \
+            if tagged else None
         seq = CoefficientSequence(float(rng.choice(pool)), a,
-                                  rng.choice(pool, n))
-        doc = coefficients_to_doc(seq)
-        assert dumps_json(doc) == reference_json(doc)
+                                  rng.choice(pool, n), generator=generator)
+        doc = {"a0": seq.a0, "n": n,
+               "terms": [{"k": k, "a": ak, "b": bk} for k, ak, bk in
+                         zip(range(1, n + 1), seq.a.tolist(), seq.b.tolist())]}
+        if tagged:
+            doc["generator"] = generator
+        assert dumps_coefficients(seq) == reference_json(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(report=reports())
+    @example(report=ClassificationReport(COMBED, {}, ()))
+    @example(report=ClassificationReport(RAGGED, {"tol": -0.0}, (
+        NodeReport(-0.0, UNDEFINED, None, None),
+        NodeReport(5e-324, RECOVERED, -1.7976931348623157e308, 0.0),
+        NodeReport(1.7976931348623157e308, SPIKE_MISMATCH, None, None))))
+    def test_report_json_matches_the_element_reference(self, report):
+        doc = {"overall": report.overall, "params": report.params,
+               "nodes": [{"theta": n.theta, "verdict": n.verdict,
+                          "value": n.value, "residual": n.residual}
+                         for n in report.nodes]}
+        assert dumps_report(report) == reference_json(doc)
 
     @settings(max_examples=100, deadline=None)
     @given(records=record_lists())

@@ -161,8 +161,8 @@ EXPORTED = {
     "errors": "BadParams CircleCombError DomainError EpsilonBelowResolution "
               "NoConvergence NonIntegrableInput NotAvailable OutOfDomain "
               "QuadratureFailure UndefinedHere UnknownName",
-    "formats": "coefficients_from_doc coefficients_to_doc dumps_json "
-               "load_coefficients read_grid report_to_doc save_coefficients "
+    "formats": "coefficients_from_doc dumps_coefficients dumps_json "
+               "dumps_report load_coefficients read_grid save_coefficients "
                "write_grid",
     "realfilter": "DEFAULT_EPS_SCHEDULE GridFunction filter_limit "
                   "filtered_derivative_limit grid_evaluator "

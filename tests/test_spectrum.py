@@ -66,6 +66,12 @@ def test_sequence_validates_and_freezes_arrays():
         _sequence(0.0, [1.0, 2.0], [3.0])
     with pytest.raises(DomainError):
         CoefficientSequence(a0=0.0, a=np.zeros((2, 2)), b=np.zeros((2, 2)))
+    for bad in (math.nan, math.inf, -math.inf):
+        for a0, a, b in ((bad, [1.0], [0.0]), (0.0, [bad], [0.0]),
+                         (0.0, [1.0], [bad])):
+            with pytest.raises(DomainError, match="coefficients must be "
+                                                  "finite"):
+                CoefficientSequence(a0, a, b)
 
 
 def test_complex_view_round_trip_is_bitwise():
@@ -145,6 +151,11 @@ def test_projection_refuses_non_integrable_inputs():
                                                          integrable=False),))
     with pytest.raises(NonIntegrableInput):
         compute_coefficients(f, n=2)
+    # An interval evaluator would be integrated over its own domain with
+    # the circle's 1/(2 pi).
+    interval = EvaluatorFunction(rule=np.ones_like, domain=(0.0, 10.0))
+    with pytest.raises(DomainError, match="rescale.pullback"):
+        compute_coefficients(interval, n=2)
 
 
 # ----------------------------------------------------------- partial sums
