@@ -276,8 +276,7 @@ def comb_by_disk(seq: CoefficientSequence, n_grid: int = 256,
         delta_schedule = DEFAULT_DELTA_SCHEDULE
     if singular_points is None:
         singular_points = _generator_singulars(seq)
-    thetas = grid_nodes(n_grid)
-    values, _, defined = boundary_value_grid(seq, thetas, delta_schedule)
+    values, _, defined = boundary_value_grid(seq, n_grid, delta_schedule)
     return GridFunction(values=values, defined=defined,
                         singular_points=tuple(singular_points),
                         note=f"radial boundary values at n={seq.n}")

@@ -20,7 +20,7 @@ from .errors import (BadParams, CircleCombError, DomainError,
                      EpsilonBelowResolution, NonIntegrableInput,
                      NotAvailable, OutOfDomain, UnknownName)
 from .spectrum import (DEFAULT_N, GridFunction, check_interval,
-                       grid_coefficients, grid_nodes)
+                       grid_coefficients)
 
 # Usage errors exit 2, as does a file that cannot be read or written.
 # Every other CircleCombError is a numeric failure, exit 3.
@@ -272,20 +272,18 @@ def cmd_eval(args) -> int:
     if (args.rho is None) == (args.rho_schedule is None):
         raise DomainError("eval needs exactly one of --rho and "
                           "--rho-schedule")
-    from .disk import boundary_value_grid, eval_ring, from_coefficients
+    from .disk import boundary_value_grid, ring_grid
     _check_size("--grid", args.grid, 2)
     domain = None if args.domain is None \
         else check_interval(args.domain, "--domain")
     seq = formats.load_coefficients(args.input)
-    thetas = grid_nodes(args.grid)
     if args.rho is not None:
-        values = seq.a0 + eval_ring(from_coefficients(seq), args.rho,
-                                    thetas).real
+        values = ring_grid(seq, args.rho, args.grid)
         defined = np.ones(args.grid, dtype=bool)
         note = f"ring values at rho={args.rho:.17g}"
     else:
         deltas = _deltas_from_rhos(args.rho_schedule)
-        values, _, defined = boundary_value_grid(seq, thetas, deltas)
+        values, _, defined = boundary_value_grid(seq, args.grid, deltas)
         note = "boundary values by radial extrapolation"
     formats.write_grid(args.output, GridFunction(
         values=values, defined=defined, note=note, domain=domain))

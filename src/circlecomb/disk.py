@@ -27,7 +27,8 @@ import numpy as np
 
 from ._extrap import neville_to_zero
 from .errors import DomainError, OutOfDomain
-from .spectrum import CoefficientSequence, check_half_width, horner, sinc
+from .spectrum import (CoefficientSequence, check_half_width, grid_sum,
+                       horner, sinc)
 
 DEFAULT_DELTA_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
@@ -140,13 +141,25 @@ def evaluate(w: InnerAnalyticFunction, point) -> complex:
     return complex(horner(w.materialize(), z))
 
 
-def eval_ring(w: InnerAnalyticFunction, rho: float, thetas) -> np.ndarray:
-    """Values of w on the circle of radius rho < 1 at the given angles."""
-    if not (0.0 <= rho < 1.0):
+def _check_ring_radius(rho: float):
+    if not (0.0 <= rho < 1.0):      # written so that NaN fails it
         raise OutOfDomain(f"ring radius {rho} is not strictly inside the disk")
+
+
+def eval_ring(w: InnerAnalyticFunction, rho: float, thetas) -> np.ndarray:
+    """Values of w on the circle of radius rho < 1 at the given angles,
+    by Horner's rule; `ring_grid` takes the uniform grid."""
+    _check_ring_radius(rho)
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     z = rho * np.exp(1j * th)
     return horner(w.materialize(), z)
+
+
+def ring_grid(seq: CoefficientSequence, rho: float, n_nodes: int) -> np.ndarray:
+    """a0 + Re w on the circle of radius rho < 1 at grid_nodes(n_nodes),
+    by `spectrum.grid_sum`."""
+    _check_ring_radius(rho)
+    return grid_sum(seq.a0, seq.complex_view(), n_nodes, rho)
 
 
 def complex_filter(w: InnerAnalyticFunction, eps: float) -> InnerAnalyticFunction:
@@ -191,21 +204,19 @@ def _check_schedule(deltas) -> np.ndarray:
     return d
 
 
-def boundary_value_grid(seq: CoefficientSequence, thetas,
+def boundary_value_grid(seq: CoefficientSequence, n_nodes: int,
                         delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE):
-    """Radial limits a0 + Re w((1-delta) e^{i theta}) extrapolated to delta = 0.
+    """Radial limits a0 + Re w((1-delta) e^{i theta}) extrapolated to
+    delta = 0, at theta = grid_nodes(n_nodes).
 
-    Vectorized over angles.  Returns (values, residuals, defined) where
-    `defined` is False at angles whose ring values blow up monotonically
-    past the coefficient scale; those values are NaN.
+    Each ring is one `ring_grid`.  Returns (values, residuals, defined)
+    where `defined` is False at nodes whose ring values blow up
+    monotonically past the coefficient scale; those values are NaN.
     """
     d = _check_schedule(delta_schedule)
     w = from_coefficients(seq)
     _tail_check(w, 1.0 - float(d[-1]))
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    rings = np.empty((d.size, th.size))
-    for j, dj in enumerate(d):
-        rings[j] = seq.a0 + eval_ring(w, 1.0 - dj, th).real
+    rings = np.array([ring_grid(seq, 1.0 - dj, n_nodes) for dj in d])
 
     mags = np.abs(rings)
     growing = np.all(mags[1:] >= _DIVERGE_RATIO * mags[:-1], axis=0)

@@ -312,17 +312,22 @@ def sinc(x):
     return out
 
 
+def _truncated(seq, m):
+    """c_1..c_m, with `m` in [0, seq.n] and the whole sequence by default."""
+    m = seq.n if m is None else int(m)
+    if not 0 <= m <= seq.n:
+        raise DomainError(f"partial sum order {m} outside [0, {seq.n}]")
+    return seq.complex_view()[:m]
+
+
 def partial_sum_eval(seq, theta, m=None):
     """Evaluate the order-`m` partial sum at `theta` (scalar or array),
     by Horner's rule in e^{i theta}.
 
     `m` defaults to the full truncation order and must not exceed it.
     """
-    m = seq.n if m is None else int(m)
-    if not 0 <= m <= seq.n:
-        raise DomainError(f"partial sum order {m} outside [0, {seq.n}]")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    acc = seq.a0 + horner(seq.complex_view()[:m], np.exp(1j * th)).real
+    acc = seq.a0 + horner(_truncated(seq, m), np.exp(1j * th)).real
     if np.ndim(theta) == 0:
         return float(acc[0])
     return acc
@@ -344,8 +349,10 @@ def grid_nodes(n_nodes):
 def horner(coeffs, z):
     """sum coeffs[k-1] z^k, k = 1..n, by Horner's rule; no constant term.
 
-    The package's one power-series kernel, in memory the size of `z`.
-    Its error is a multiple of ulp * sum k |c_k| (Higham 2002, ch. 5).
+    The power-series kernel at points off the uniform grid (`grid_sum`
+    takes the grid), in memory the size of `z`, at O(n) work a point.
+    Its error is a multiple of ulp * sum k |c_k| (Higham 2002, ch. 5):
+    term k carries the rounding of z^k.
     """
     z = np.asarray(z, dtype=complex)
     acc = np.zeros_like(z)
@@ -355,11 +362,35 @@ def horner(coeffs, z):
     return acc
 
 
+def grid_sum(a0, c, n_nodes, rho=1.0):
+    """a0 + Re sum_k c[k-1] rho^k e^{i k theta_j}, k = 1..n, at the nodes
+    theta_j = grid_nodes(N): the one synthesis on a uniform grid.
+
+    There e^{i k theta_j} = (-1)^k e^{2 pi i k j / N}, so the sum is the
+    unscaled inverse DFT of C_r = sum_{k = r mod N} (-1)^k rho^k c_k.
+    The fold is one pad-and-reshape sum and the transform one FFT, so
+    the cost is O(n + N log N) in O(n + N) memory, and every phase is
+    exact.  `rho` lies in [0, 1].  DomainError where a value overflows.
+    """
+    n_nodes = int(n_nodes)
+    c = np.asarray(c, dtype=complex)
+    weights = rho ** np.arange(1.0, c.size + 1)
+    weights[::2] *= -1.0
+    folded = np.zeros(-(-(c.size + 1) // n_nodes) * n_nodes, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(c, weights, out=folded[1:c.size + 1])
+        bins = folded.reshape(-1, n_nodes).sum(axis=0)
+        out = a0 + np.fft.ifft(bins, norm="forward").real
+    if not np.all(np.isfinite(out)):
+        raise DomainError("coefficients too large: their sums on the grid "
+                          "overflow the float range")
+    return out
+
+
 def partial_sum_grid(seq, n_nodes, m=None):
-    """Partial sums on a uniform grid: `partial_sum_eval` at
-    grid_nodes(n_nodes), in memory linear in the grid size and the
-    order."""
-    return partial_sum_eval(seq, grid_nodes(n_nodes), m)
+    """Partial sums at grid_nodes(n_nodes) by `grid_sum`: the values of
+    `partial_sum_eval` there, with exact phases."""
+    return grid_sum(seq.a0, _truncated(seq, m), n_nodes)
 
 
 def grid_coefficients(values, n=DEFAULT_N):

@@ -113,6 +113,28 @@ def random_trig_poly(rng, degree):
     return a0, a, b, fn
 
 
+def exact_phase_sums(a0, a, b, n_nodes, rho=1.0, nodes=None):
+    """a0 + sum_k rho^k (a_k cos k theta_j + b_k sin k theta_j) in long
+    double at the grid nodes theta_j = -pi + 2 pi j / N, j in `nodes`
+    (default all).  Each phase k theta_j = pi ((k (2j - N)) mod 2N) / N
+    is reduced exactly in integers, so no phase carries the rounding of
+    theta_j or of its multiples."""
+    N = int(n_nodes)
+    nodes = np.arange(N) if nodes is None else np.asarray(nodes)
+    k = np.arange(1, len(a) + 1, dtype=np.int64)
+    phases = np.arange(2 * N) * (4 * np.arctan(np.longdouble(1))) / N
+    cos_tab, sin_tab = np.cos(phases), np.sin(phases)
+    weights = np.longdouble(rho) ** k.astype(np.longdouble)
+    wa = weights * np.asarray(a, dtype=np.longdouble)
+    wb = weights * np.asarray(b, dtype=np.longdouble)
+    out = np.empty(nodes.size, dtype=np.longdouble)
+    for i, j in enumerate(nodes):
+        idx = (k * (2 * int(j) - N)) % (2 * N)
+        out[i] = np.longdouble(a0) + np.sum(wa * cos_tab[idx]
+                                            + wb * sin_tab[idx])
+    return out
+
+
 # ------------------------------------------------- reference file formats
 # Element-wise writers and a row reader for the on-disk formats, written
 # with the stdlib only, one row or one element at a time.  The package's

@@ -29,7 +29,9 @@ from circlecomb.formats import (
 from circlecomb.realfilter import GridFunction, grid_evaluator, kernel_filter_grid
 from circlecomb.rescale import IntervalMap
 from circlecomb.spectrum import grid_nodes
-from conftest import reference_grid_csv, reference_json
+from conftest import exact_phase_sums, reference_grid_csv, reference_json
+
+EPS = np.finfo(float).eps
 
 
 def run_cli(*args, cwd=None):
@@ -228,7 +230,9 @@ class TestComb:
                     "--method", "fourier", "--grid", "64", "--output", out)
         assert p.returncode == 0
         grid = read_grid(out)
-        assert np.array_equal(grid.values, np.cos(grid.thetas()))
+        # The cosine at the exact nodes, cos(pi ((2j - N) mod 2N) / N).
+        exact = exact_phase_sums(0.0, [1.0], [0.0], 64)
+        assert np.max(np.abs(grid.values - exact)) <= 2 * EPS
         assert grid.note == "series reconstruction at n=32"
 
     def test_fourier_flags_mass_polluted_grids(self, workdir):
@@ -276,7 +280,8 @@ class TestEval:
         assert p.returncode == 0
         grid = read_grid(out)
         assert grid.domain is None
-        assert np.array_equal(grid.values, 0.5 * np.cos(grid.thetas()))
+        exact = exact_phase_sums(0.0, [1.0], [0.0], 64, rho=0.5)
+        assert np.max(np.abs(grid.values - exact)) <= 2 * EPS * 0.5
         assert grid.note == "ring values at rho=0.5"
 
     def test_boundary_extrapolation(self, workdir):
@@ -554,6 +559,45 @@ class TestExitCodes:
         assert len(err) == 1 and "sums overflow" in err[0]
         assert not out.exists()
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("method", ["fourier", "disk"])
+    def test_series_sums_that_overflow_exit_2_with_one_line(self, tmp_path,
+                                                             method):
+        # Every coefficient is finite, but the sums at rho = 1 and near
+        # it are not; no numpy warning may reach stderr.
+        path = tmp_path / "huge.json"
+        save_coefficients(path, spectrum.CoefficientSequence(
+            0.0, [1e308] * 3, [1e308] * 3))
+        out = tmp_path / "out.csv"
+        p = run_cli("comb", "--input", path, "--method", method,
+                    "--output", out)
+        assert p.returncode == 2
+        err = p.stderr.splitlines()
+        assert len(err) == 1 and "overflow" in err[0]
+        assert not out.exists()
+
+    def test_series_sums_that_stay_finite_on_the_ring_exit_0(self, tmp_path):
+        path = tmp_path / "huge.json"
+        save_coefficients(path, spectrum.CoefficientSequence(
+            0.0, [1e308] * 3, [1e308] * 3))
+        out = tmp_path / "ring.csv"
+        p = run_cli("eval", "--input", path, "--rho", "0.5",
+                    "--output", out)
+        assert p.returncode == 0, p.stderr
+        assert p.stderr == ""
+        assert np.all(np.isfinite(read_grid(out).values))
+
+    @pytest.mark.parametrize("rho", ["nan", "-0.1", "1"])
+    def test_eval_refuses_radii_off_the_open_disk(self, workdir, tmp_path,
+                                                  rho):
+        out = tmp_path / "ring.csv"
+        p = run_cli("eval", "--input", workdir / "cosseq.json",
+                    f"--rho={rho}", "--output", out)
+        assert p.returncode == 2
+        assert p.stderr == (f"circlecomb eval: ring radius {float(rho)} is "
+                            "not strictly inside the disk\n")
+        assert not out.exists()
+        assert not (tmp_path / "ring.csv.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["comb", "--method", "bogus"],

@@ -206,17 +206,19 @@ def test_boundary_value_of_cosine():
     seq = CoefficientSequence(0.0, np.array([1.0]), np.array([0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, residuals, defined = boundary_value_grid(seq, [PI / 3])
-    assert defined[0]
-    assert values[0] == pytest.approx(0.5, abs=1e-8)
-    assert residuals[0] < 1e-8
+        # Node 4 of 6 is pi/3.
+        values, residuals, defined = boundary_value_grid(seq, 6)
+    assert defined[4]
+    assert values[4] == pytest.approx(0.5, abs=1e-8)
+    assert residuals[4] < 1e-8
 
 
 def test_boundary_value_of_point_mass_away_from_its_carrier():
     seq = delta_coefficients(0.0, 32768)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, _, defined = boundary_value_grid(seq, [PI])
+        # Node 0 is -pi, the same point as pi.
+        values, _, defined = boundary_value_grid(seq, 2)
     assert defined[0]
     assert abs(values[0]) < 1e-8
 
@@ -224,27 +226,29 @@ def test_boundary_value_of_point_mass_away_from_its_carrier():
 def test_boundary_value_of_square_wave_at_jump_is_the_midpoint():
     seq = square_coefficients(1024)
     with pytest.warns(RuntimeWarning, match="truncation tail"):
-        values, _, _ = boundary_value_grid(seq, [0.0])
-    assert values[0] == 0.0
+        # Node 1 of 2 is 0.
+        values, _, _ = boundary_value_grid(seq, 2)
+    assert values[1] == 0.0
 
 
 def test_boundary_value_diverges_on_the_point_mass():
     seq = delta_coefficients(0.0, 2048)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        values, residuals, defined = boundary_value_grid(seq, [0.0])
-    assert not defined[0]
-    assert np.isnan(values[0]) and np.isnan(residuals[0])
+        values, residuals, defined = boundary_value_grid(seq, 2)
+    assert not defined[1]
+    assert np.isnan(values[1]) and np.isnan(residuals[1])
 
 
 def test_boundary_grid_masks_divergent_angles():
     seq = delta_coefficients(0.0, 32768)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        values, residuals, defined = boundary_value_grid(seq, [0.0, PI])
-    assert not defined[0] and defined[1]
-    assert np.isnan(values[0]) and np.isnan(residuals[0])
-    assert abs(values[1]) < 1e-6
+        # Nodes 1 and 0 of 2 are 0 and pi.
+        values, residuals, defined = boundary_value_grid(seq, 2)
+    assert not defined[1] and defined[0]
+    assert np.isnan(values[1]) and np.isnan(residuals[1])
+    assert abs(values[0]) < 1e-6
 
 
 def test_boundary_schedule_is_validated():
@@ -254,15 +258,15 @@ def test_boundary_schedule_is_validated():
                 (0.1, np.nan, 0.01), (np.nan, 0.05, 0.01),
                 (0.1, 0.05, np.nan)]:
         with pytest.raises(DomainError, match="delta schedule"):
-            boundary_value_grid(seq, [0.3], delta_schedule=bad)
+            boundary_value_grid(seq, 8, delta_schedule=bad)
 
 
 def test_under_truncated_series_warns_near_the_boundary():
     with pytest.warns(RuntimeWarning, match="truncation tail") as record:
-        boundary_value_grid(delta_coefficients(0.0, 256), [PI])
+        boundary_value_grid(delta_coefficients(0.0, 256), 2)
     # The warning names the caller's line, not the library's.
     assert record[0].filename == __file__
     # The same mass with enough harmonics extrapolates quietly.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        boundary_value_grid(delta_coefficients(0.0, 32768), [PI])
+        boundary_value_grid(delta_coefficients(0.0, 32768), 2)

@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
 from circlecomb.catalog import make
+from circlecomb.disk import boundary_value_grid
 from circlecomb.errors import DomainError, NonIntegrableInput, UndefinedHere
 from circlecomb.realfilter import GridFunction, grid_evaluator
 from circlecomb.spectrum import (
@@ -19,14 +21,17 @@ from circlecomb.spectrum import (
     compute_coefficients,
     grid_coefficients,
     grid_nodes,
+    grid_sum,
     partial_sum_eval,
     partial_sum_grid,
     wrap_angle,
 )
 
-from conftest import delta_coefficients, random_trig_poly, square_coefficients
+from conftest import (delta_coefficients, exact_phase_sums, random_trig_poly,
+                      square_coefficients)
 
 PI = math.pi
+EPS = np.finfo(float).eps
 
 # Exact partial sum of the unit square wave at a quarter turn, order 199:
 # (4/pi) * sum_{j=0}^{99} (-1)^j / (2j+1), evaluated in rational arithmetic.
@@ -214,18 +219,86 @@ def test_partial_sum_grid_matches_pointwise_route(rng, n_nodes, n):
     assert part == pytest.approx(partial_sum_eval(seq, nodes, m=7), abs=tol)
 
 
-def test_partial_sum_grid_memory_is_linear(rng):
-    # 8192 harmonics on 1024 nodes: an (n x N) power matrix would take
-    # 128 MB; the coefficients and a few grid-sized arrays take 0.4 MB.
-    a0, a, b, _ = random_trig_poly(rng, 8192)
-    seq = _sequence(a0, a, b)
+def _traced_peak(run):
+    """Peak traced bytes allocated while `run()` runs."""
     tracemalloc.start()
     try:
-        partial_sum_grid(seq, 1024)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_partial_sum_grid_memory_is_linear(rng):
+    # 8192 harmonics on 1024 nodes: an (n x N) power matrix would take
+    # 128 MB; the fold's few coefficient-sized arrays take about 0.5 MB.
+    a0, a, b, _ = random_trig_poly(rng, 8192)
+    peak = _traced_peak(lambda: partial_sum_grid(_sequence(a0, a, b), 1024))
     assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
+def test_ring_grid_memory_is_linear(rng):
+    # The same series on the default schedule's four rings: four grid
+    # rows more.
+    a0, a, b, _ = random_trig_poly(rng, 8192)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the rings' tail bound
+        peak = _traced_peak(
+            lambda: boundary_value_grid(_sequence(a0, a, b), 1024))
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("n, n_nodes, rho", [(32768, 4096, 1.0),
+                                             (16384, 2048, 0.99)],
+                         ids=["square-wave", "random-ring"])
+def test_grid_sums_have_exact_phases(rng, n, n_nodes, rho):
+    # Against long-double sums with phases reduced in integers, at 64
+    # nodes.  Horner's rule on the rounded nodes, whose term k carries
+    # k ulp of phase, misses this bound: 2.6e-12 against 6.6e-15 on the
+    # square wave, and 2.7e-13 against 1.0e-13 on the ring.
+    seq = square_coefficients(n) if rho == 1.0 \
+        else _sequence(*random_trig_poly(rng, n)[:3])
+    nodes = np.arange(0, n_nodes, n_nodes // 64)
+    exact = exact_phase_sums(seq.a0, seq.a, seq.b, n_nodes, rho, nodes)
+    got = grid_sum(seq.a0, seq.complex_view(), n_nodes, rho)[nodes]
+    bound = 4 * EPS * np.sum(rho ** seq.k_values()
+                             * np.abs(seq.complex_view()))
+    assert np.max(np.abs(got - exact)) <= bound
+
+
+def test_partial_sum_grid_takes_a_million_terms_onto_a_million_nodes():
+    # c_k = q^k sums to z (1 - z^n) / (1 - z) at z = q e^{i theta_j}, and
+    # z^n = q^n at every node, since n = N is even.  Horner's rule would
+    # take n N = 2^40 steps.
+    n = 1 << 20
+    q = 1.0 - 2.0 ** -20
+    a = q ** np.arange(1.0, n + 1)
+    got = partial_sum_grid(_sequence(0.0, a, np.zeros(n)), n)
+    nodes = np.r_[0:n:4099, n // 2 - 1:n // 2 + 2]
+    half = (2 * nodes - n) * (4 * np.arctan(np.longdouble(1))) / (2 * n)
+    ql = np.longdouble(q)
+    z = ql * (np.cos(2 * half) + 1j * np.sin(2 * half))
+    # 1 - z without cancellation next to theta = 0.
+    one_minus_z = (1 - ql) + 2 * ql * np.sin(half) ** 2 \
+        - 1j * ql * np.sin(2 * half)
+    exact = (z * (1 - ql ** n) / one_minus_z).real
+    assert np.max(np.abs(got[nodes] - exact)) <= 4 * EPS * np.sum(a)
+
+
+@pytest.mark.parametrize("n, n_nodes", [(0, 8), (3, 1), (5, 2), (9, 4)])
+def test_grid_sum_folds_every_length_onto_every_grid(rng, n, n_nodes):
+    c = rng.normal(size=n) + 1j * rng.normal(size=n)
+    z = 0.5 * np.exp(1j * grid_nodes(n_nodes))
+    direct = 0.25 + sum((ck * z ** k).real for k, ck in enumerate(c, 1))
+    assert grid_sum(0.25, c, n_nodes, 0.5) == pytest.approx(direct,
+                                                            abs=1e-15)
+
+
+def test_grid_sum_refuses_sums_that_overflow():
+    with pytest.raises(DomainError, match="overflow"):
+        grid_sum(0.0, [1e308 - 1e308j] * 3, 16)
+    with pytest.raises(DomainError, match="overflow"):
+        grid_sum(1.7e308, [1.7e308], 2)
 
 
 @pytest.mark.parametrize("n_nodes, n", [(16, 40), (128, 200), (384, 96)])
