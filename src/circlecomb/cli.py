@@ -40,6 +40,10 @@ _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
 # 1 GB and leaves 8x headroom above the largest sizes in use (131072
 # nodes, 32768 harmonics).
 _MAX_SIZE = 1 << 20
+# Largest schedule length x node count: classify, comb --method
+# filter-limit and disk, and eval --rho-schedule hold several arrays of
+# that many floats.  The default four-entry schedules fit at 2^20 nodes.
+_MAX_WORK = 16 * _MAX_SIZE
 
 
 def _float_list(text: str):
@@ -127,6 +131,15 @@ def _check_size(flag, value, least):
                           f"got {value}")
 
 
+def _check_work(flag, schedule, what, nodes):
+    """DomainError when `schedule` over `nodes` nodes exceeds _MAX_WORK;
+    `flag` and `what` name where each came from."""
+    if len(schedule) * nodes > _MAX_WORK:
+        raise DomainError(f"{flag} with {len(schedule)} entries on {what} "
+                          f"of {nodes} nodes exceeds {_MAX_WORK} "
+                          f"entries x nodes")
+
+
 def _given(args, flags) -> dict:
     """The `flags` the user set.  Only these are forwarded, so defaults
     stay in the module that runs them, and the parser loads none."""
@@ -208,8 +221,10 @@ def cmd_classify(args) -> int:
             formats.load_coefficients(args.input))
         report = classify.certificate_report(cert)
     else:
-        from .realfilter import grid_evaluator
+        from .realfilter import DEFAULT_EPS_SCHEDULE, grid_evaluator
         grid = formats.read_grid(args.input)
+        _check_work("--eps-schedule", args.eps_schedule or
+                    DEFAULT_EPS_SCHEDULE, "the input grid", grid.n)
         report = classify.classify_pointwise(
             grid_evaluator(grid), n_grid=grid.n,
             **_given(args, ("eps_schedule", "tol")))
@@ -239,6 +254,15 @@ def cmd_comb(args) -> int:
         seq, grid = None, formats.read_grid(args.input)
     n_grid = args.grid if args.grid is not None else \
         (grid.n if grid is not None else 256)
+    what = "--grid" if args.grid is not None else "the output grid"
+    if args.method == "filter-limit":
+        from .realfilter import DEFAULT_EPS_SCHEDULE
+        _check_work("--eps-schedule", args.eps_schedule or
+                    DEFAULT_EPS_SCHEDULE, what, n_grid)
+    elif args.method == "disk":
+        from .disk import DEFAULT_DELTA_SCHEDULE
+        _check_work("--rho-schedule", args.rho_schedule or
+                    DEFAULT_DELTA_SCHEDULE, what, n_grid)
     singulars = None if grid is None else grid.singular_points
     if seq is None and args.method != "filter-limit":
         if grid.domain is not None:
@@ -274,6 +298,8 @@ def cmd_eval(args) -> int:
                           "--rho-schedule")
     from .disk import boundary_value_grid, ring_grid
     _check_size("--grid", args.grid, 2)
+    if args.rho_schedule is not None:
+        _check_work("--rho-schedule", args.rho_schedule, "--grid", args.grid)
     domain = None if args.domain is None \
         else check_interval(args.domain, "--domain")
     seq = formats.load_coefficients(args.input)

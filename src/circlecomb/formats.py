@@ -4,11 +4,13 @@ Every float is written as `%.17g`, enough to round-trip IEEE doubles
 exactly, and dictionary keys keep their insertion order, so the same
 data always produces byte-identical files.  JSON is written by this
 module's own writer, since the stdlib dumper writes shortest-roundtrip
-floats.  The three large bodies, the rows of a grid CSV, the terms of a
-coefficient document and the nodes of a report, are written straight
-from their data, each by one `%`-format over a flat tuple of cells;
-the small parts take the element-wise writer.  Every writer serializes
-before it opens its file, so a refused value leaves no file behind.
+floats.  The three large bodies are written straight from their data:
+the rows of a grid CSV by `_gridrows`, which gives the bytes of
+`%`-formatting with no Python object per cell, and the terms of a
+coefficient document and the nodes of a report each by one `%`-format
+over a flat tuple of cells; the small parts take the element-wise
+writer.  Every writer serializes before it opens its file, so a
+refused value leaves no file behind.
 
 Reads are strict; a malformed file raises `DomainError` naming it.
 Files must be UTF-8.  A grid CSV is the header `theta,value,defined`
@@ -33,7 +35,6 @@ from .spectrum import (CoefficientSequence, GridFunction, check_interval,
                        grid_nodes)
 
 _GRID_HEADER = "theta,value,defined"
-_GRID_ROW = "%.17g,%.17g,%d\n"
 # One parsed CSV row.  The integer field makes the parser itself refuse
 # "1.0" or "1e0" as a `defined` flag.
 _GRID_FIELDS = np.dtype([("theta", float), ("value", float),
@@ -201,11 +202,10 @@ def write_grid(path, grid: GridFunction):
     the singular points, the note and, on interval data, the domain."""
     # GridFunction holds finite values where defined and NaN elsewhere,
     # which `%.17g` writes as "nan", so the rows need no checks.
-    cells = zip(grid.thetas().tolist(), grid.values.tolist(),
-                grid.defined.tolist())
-    body = (_GRID_ROW * grid.n) % tuple(chain.from_iterable(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_GRID_HEADER + "\n")
+    from ._gridrows import grid_rows
+    body = grid_rows(grid.thetas(), grid.values, grid.defined)
+    with open(path, "wb") as fh:
+        fh.write(_GRID_HEADER.encode() + b"\n")
         fh.write(body)
     meta = {"singular_points": [float(s) for s in grid.singular_points],
             "note": grid.note}

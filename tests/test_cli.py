@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import circlecomb._quad
 from circlecomb import catalog, classify, cli, disk, realfilter, spectrum
 from circlecomb.catalog import make
+from circlecomb.errors import DomainError
 from circlecomb.formats import (
     dumps_report,
     load_coefficients,
@@ -437,6 +438,56 @@ class TestExitCodes:
                         + ["--output", str(out)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--input", "{seq}", "--rho-schedule", "{radii}",
+          "--grid", "1048576"], "--rho-schedule with 20 entries on --grid"),
+        (["comb", "--input", "{seq}", "--method", "disk", "--rho-schedule",
+          "{radii}", "--grid", "1048576"],
+         "--rho-schedule with 20 entries on --grid"),
+        (["comb", "--input", "{grid}", "--method", "disk", "--rho-schedule",
+          "{radii}", "--grid", "1048576"],
+         "--rho-schedule with 20 entries on --grid"),
+        (["comb", "--input", "{grid}", "--method", "filter-limit",
+          "--eps-schedule", "{widths}", "--grid", "1048576"],
+         "--eps-schedule with 17 entries on --grid"),
+        (["comb", "--input", "{big}", "--method", "filter-limit",
+          "--eps-schedule", "{many}"],
+         "--eps-schedule with 4097 entries on the output grid"),
+        (["classify", "--input", "{big}", "--eps-schedule", "{many}"],
+         "--eps-schedule with 4097 entries on the input grid"),
+    ], ids=["eval-rho-schedule", "comb-disk", "comb-disk-grid",
+            "comb-filter-limit", "comb-filter-limit-input",
+            "classify"])
+    def test_schedules_past_the_work_cap_exit_2_before_any_work(
+            self, workdir, tmp_path, capsys, argv, message):
+        # Just past 16 x 2^20 entries x nodes: 20 x 2^20, 17 x 2^20 and
+        # 4097 x 4096.
+        big = tmp_path / "cos4096.csv"
+        write_grid(big, GridFunction(np.cos(grid_nodes(4096)),
+                                     np.ones(4096, bool)))
+        fill = {"seq": workdir / "cosseq.json", "grid": workdir / "cos256.csv",
+                "big": big,
+                "radii": ",".join(str(1.0 - 0.5 ** (j + 4))
+                                  for j in range(20)),
+                "widths": ",".join(str(0.2 * 0.9 ** j) for j in range(17)),
+                "many": ",".join(str(0.2 * 0.999 ** j) for j in range(4097))}
+        out = tmp_path / "out"
+        assert cli.main([a.format(**fill) for a in argv]
+                        + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+        assert f"exceeds {16 << 20} entries x nodes" in err[0]
+        assert not out.exists()
+
+    def test_the_default_schedules_fit_on_the_largest_grids(self):
+        for schedule in (realfilter.DEFAULT_EPS_SCHEDULE,
+                         disk.DEFAULT_DELTA_SCHEDULE):
+            cli._check_work("--schedule", schedule, "--grid", cli._MAX_SIZE)
+        cli._check_work("--schedule", (0.5,) * 16, "--grid", cli._MAX_SIZE)
+        with pytest.raises(DomainError, match="17 entries"):
+            cli._check_work("--schedule", (0.5,) * 17, "--grid",
+                            cli._MAX_SIZE)
 
     @pytest.mark.parametrize("domain", ["5,1", "nan,1", "0,inf", "1,2,3",
                                         "-1.7e308,1.7e308"])

@@ -450,8 +450,8 @@ class TestColumnWiseFormats:
     def test_write_and_read_peaks_stay_below_the_row_loops(self, tmp_path):
         # Traced peaks of the row-at-a-time writer and reader on a grid of
         # this size: 23.9 MB to write, 18.6 MB to read.  The column-wise
-        # ones hold the body text and one tuple of cells (write) or the
-        # parsed rows (read).
+        # ones hold the body text and one chunk of cell slots (write) or
+        # the parsed rows (read).
         grid = drawn_grid(11, 131072, 0.1)
         path = tmp_path / "g.csv"
         tracemalloc.start()
@@ -465,6 +465,71 @@ class TestColumnWiseFormats:
             tracemalloc.stop()
         assert write_peak < 23.9e6, f"write_grid traced peak {write_peak}"
         assert read_peak < 18.6e6, f"read_grid traced peak {read_peak}"
+
+
+    def test_a_million_node_write_peaks_below_two_and_a_half_files(
+            self, tmp_path):
+        # The body is serialized in full before the file opens, so the
+        # peak holds it about twice while its chunks are joined; with the
+        # row tuple of the `%`-format writer it reached 4 files.
+        n = 1 << 20
+        defined = np.arange(n) % 7 != 0
+        values = np.where(defined, np.cos(3.0 * grid_nodes(n)), np.nan)
+        path = tmp_path / "g.csv"
+        tracemalloc.start()
+        try:
+            write_grid(path, GridFunction(values, defined))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 2.5 * size, f"traced peak {peak} for {size} bytes"
+
+
+def _near_ties():
+    """Doubles x whose 17-digit scaling x 10^k, k = 23..44, lies 1 to 3
+    units of 2^-t (t = 30..53) from a rounding tie N + 1/2: x = m 2^-(t+k)
+    with m 5^k = (2N + 1) 2^(t-1) + d for odd d in [-3, 3], m < 2^53."""
+    out = []
+    for k in range(23, 45):
+        for t in range(30, 54):
+            inverse = pow(5 ** k, -1, 2 ** t)
+            for d in (-3, -1, 1, 3):
+                m = (d + 2 ** (t - 1)) * inverse % 2 ** t
+                if m < 2 ** 53 and 10 ** 16 * 2 ** t <= m * 5 ** k \
+                        < 10 ** 17 * 2 ** t:
+                    out.append(math.ldexp(m, -(t + k)))
+    return out
+
+
+def _fast_path_edges(rng):
+    """Finite doubles at the edges of the grid writer's numpy path, each
+    with both signs."""
+    powers = np.array([float(f"1e{k}") for k in range(-30, 19)])
+    odd = 2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, 2000) + 1
+    # Random mantissas under binary exponents that span [1e-28, 1e17).
+    exponents = rng.integers(-93, 57, 4000) + 1023
+    bits = (exponents << 52) | rng.integers(0, 1 << 52, 4000)
+    switches = np.concatenate([
+        10.0 ** rng.uniform(lo, hi, 500)
+        for lo, hi in ((-5.5, -3.5), (15.5, 17.5))])
+    cells = np.concatenate([
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+        [9.9999999999999995e-07, 1e-5, 1e-4, 1e16, 1e17],
+        odd / 4.0,                                  # exact 17th-digit ties
+        rng.integers(2 ** 53, 2 ** 62, 2000).astype(float),
+        switches, bits.view(np.float64), _near_ties()])
+    return np.concatenate([cells, -cells])
+
+
+def test_grid_cells_at_the_fast_path_edges_match_the_reference(tmp_path):
+    values = _fast_path_edges(np.random.default_rng(19))
+    defined = np.ones(values.size, bool)
+    grid = GridFunction(values, defined)
+    path = tmp_path / "edges.csv"
+    write_grid(path, grid)
+    assert path.read_text(encoding="utf-8") == reference_grid_csv(
+        grid.thetas(), values, defined)
 
 
 class TestGridReadsTakeTheFastPath:

@@ -100,7 +100,8 @@ print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules
                   "numpy.polynomial" in sys.modules]))
 """
 
-# Every route reads or writes through `formats`, which needs `spectrum`.
+# Every route reads or writes through `formats`, which needs `spectrum`;
+# the routes that write a grid CSV also load `_gridrows`.
 SHARED = {"cli", "errors", "formats", "spectrum"}
 
 
@@ -119,18 +120,19 @@ def inputs(tmp_path_factory):
     (["spectrum", "--input", "{d}/grid.csv", "--output", "{d}/s.json"],
      set()),
     (["filter", "--input", "{d}/grid.csv", "--method", "kernel", "--eps",
-      "0.3", "--output", "{d}/f.csv"], {"realfilter"}),
+      "0.3", "--output", "{d}/f.csv"], {"realfilter", "_gridrows"}),
     (["classify", "--input", "{d}/grid.csv", "--output", "{d}/c.json"],
      {"classify", "realfilter", "_extrap"}),
     (["comb", "--input", "{d}/grid.csv", "--method", "filter-limit",
-      "--output", "{d}/l.csv"], {"classify", "realfilter", "_extrap"}),
+      "--output", "{d}/l.csv"],
+     {"classify", "realfilter", "_extrap", "_gridrows"}),
     (["comb", "--input", "{d}/square.json", "--method", "fourier",
       "--output", "{d}/r.csv"],
-     {"catalog", "classify", "realfilter", "_extrap"}),
+     {"catalog", "classify", "realfilter", "_extrap", "_gridrows"}),
     (["eval", "--input", "{d}/square.json", "--rho", "0.5", "--output",
-      "{d}/e.csv"], {"disk", "_extrap"}),
+      "{d}/e.csv"], {"disk", "_extrap", "_gridrows"}),
     (["eval", "--input", "{d}/square.json", "--rho", "0.5", "--domain",
-      "0,1", "--output", "{d}/i.csv"], {"disk", "_extrap"}),
+      "0,1", "--output", "{d}/i.csv"], {"disk", "_extrap", "_gridrows"}),
 ], ids=["spectrum-catalog", "spectrum-input", "filter-kernel", "classify",
         "comb-filter-limit", "comb-fourier-tagged", "eval-rho",
         "eval-rho-domain"])
