@@ -2,16 +2,15 @@
 
 The bytes are those of `%`-formatting each cell, made chunk by chunk
 with no Python object per cell.  A nonzero double x with
-e = floor(log10|x|) in [-28, 16] prints its 17 significant digits as
+e = floor(log10|x|) in [-6, 16] prints its 17 significant digits as
 the integer D = round(|x| 10^(16-e)), rounded half to even as dtoa
 rounds (Gay, AT&T NAM 90-10, 1990).  The product is carried exactly as
 hi + lo by Dekker's TwoProduct (Numer. Math. 18, 1971) with the exact
-powers 10^k, k <= 22, and in two steps beyond, where lo is rounded
-once; hi >= 1e16 > 2^53 is an even integer, so D = hi + rint(lo).
-Each cell is laid out in fixed slots, unused ones 0, and the zeros are
-dropped from the finished text.  Cells where this could miss take
-`b"%.17g" % x`: |x| outside [1e-28, 1e17), infinities, a log10 one
-decade off, and in the two-step range a lo within _TIE_MARGIN of a tie.
+power 10^(16-e) <= 10^22; hi >= 1e16 > 2^53 is an even integer, so
+D = hi + rint(lo).  Each cell is laid out in fixed slots, unused ones
+0, and the zeros are dropped from the finished text.  The other cells
+take `b"%.17g" % x`: |x| outside [1e-6, 1e17), infinities, and a
+log10 one decade off.
 
 `formats.write_grid` loads this module on first use, so the routes
 that write no grid never compile it.
@@ -19,9 +18,14 @@ that write no grid never compile it.
 
 import numpy as np
 
-_PAIRS = b"".join(b"%02d" % i for i in range(100))
-_POW10 = tuple(float(10 ** k) for k in range(23))
-_TIE_MARGIN = 1e-9
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+# "0." and up to three zeros before a fixed e < 0, and "e-05", "e-06"
+# after the exponent form, indexed by -e; row 0 is empty.
+_PREFIX = np.frombuffer(b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0"
+                        b"0.000", np.uint8).reshape(5, 5)
+_EXPONENT = np.frombuffer(b"\0" * 20 + b"e-05" b"e-06",
+                          np.uint8).reshape(7, 4)
 # Slots of one cell: sign; "0.000" before fixed e < 0; 17 (digit, point
 # after it) pairs; "e-dd".
 _CELL = 1 + 5 + 34 + 4
@@ -46,30 +50,23 @@ def _g17_cells(x, out):
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
-    fast = (e >= -28) & (e <= 16)
+    fast = (e >= -6) & (e <= 16)
     e = np.where(fast, e, 0).astype(np.int64)
-    k = 16 - e
-    pow10 = np.array(_POW10)
-    step = pow10[np.maximum(k - 22, 0)]
-    h, lo1 = _two_product(np.where(fast, a, 1.0), pow10[np.minimum(k, 22)])
-    hi, lo = _two_product(h, step)
-    lo += lo1 * step
+    hi, lo = _two_product(np.where(fast, a, 1.0), _POW10[16 - e])
     # hi + lo < 1e16: log10 read a decade high.  D >= 1e17: a decade
     # low, or 17 nines rounded up.
-    slow = ~fast | ((hi - 1e16) + lo < 0) \
-        | ((k > 22) & (np.abs(lo - np.floor(lo) - 0.5) < _TIE_MARGIN))
+    slow = ~fast | ((hi - 1e16) + lo < 0)
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     slow |= d >= 10 ** 17
 
     # The 17 digits as characters behind one pad byte: the leading one,
     # then eight pairs read from the two-character table.
-    pairs = np.frombuffer(_PAIRS, np.uint16)
     chars = np.zeros((x.size, 9), np.uint16)
     digits = chars.view(np.uint8)[:, 1:]
     lead, rest = np.divmod(d, 10 ** 16)
     digits[:, 0] = lead + ord("0")
     for i in range(1, 9):
-        chars[:, i], rest = pairs[rest // 10 ** (16 - 2 * i)], \
+        chars[:, i], rest = _PAIRS[rest // 10 ** (16 - 2 * i)], \
             rest % 10 ** (16 - 2 * i)
     kept = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
     fixed = e >= -4
@@ -82,15 +79,8 @@ def _g17_cells(x, out):
     rows = np.flatnonzero((point >= 0) & (point + 1 < kept))
     out[rows, 7 + 2 * point[rows]] = ord(".")
     out[:, 0] = np.signbit(x) * ord("-")
-    # "0." and up to three zeros before a fixed e < 0, "e-dd" after the
-    # exponent form; row 0 of each table is empty.
-    prefix = np.frombuffer(b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0"
-                           b"0.000", np.uint8).reshape(5, 5)
-    out[:, 1:6] = prefix[np.where(fixed & (e < 0), -e, 0)]
-    exponent = np.frombuffer(b"\0" * 20 + b"".join(b"e-%02d" % i
-                                                   for i in range(5, 29)),
-                             np.uint8).reshape(29, 4)
-    out[:, 40:] = exponent[np.where(fixed, 0, -e)]
+    out[:, 1:6] = _PREFIX[np.where(fixed & (e < 0), -e, 0)]
+    out[:, 40:] = _EXPONENT[np.where(fixed, 0, -e)]
 
     zero = a == 0
     out[zero, 1:] = 0

@@ -40,10 +40,15 @@ _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
 # 1 GB and leaves 8x headroom above the largest sizes in use (131072
 # nodes, 32768 harmonics).
 _MAX_SIZE = 1 << 20
-# Largest schedule length x node count: classify, comb --method
-# filter-limit and disk, and eval --rho-schedule hold several arrays of
-# that many floats.  The default four-entry schedules fit at 2^20 nodes.
-_MAX_WORK = 16 * _MAX_SIZE
+# Longest schedule accepted: the limit tableau takes time in its square.
+# Each entry also holds a few arrays over the nodes, about 150 bytes per
+# entry and node on the shrinking-window routes (classify, comb --method
+# filter-limit) and 30 on the radial ones (comb --method disk, eval
+# --rho-schedule), so these caps on length x node count keep a job under
+# about 1 GB, as _MAX_SIZE does.
+_MAX_SCHEDULE = 64
+_MAX_WINDOW_WORK = 6 * _MAX_SIZE
+_MAX_RADIAL_WORK = 32 * _MAX_SIZE
 
 
 def _float_list(text: str):
@@ -54,6 +59,14 @@ def _float_list(text: str):
                                          f"{text!r}") from None
     if not vals:
         raise argparse.ArgumentTypeError("empty list")
+    return vals
+
+
+def _schedule(text: str):
+    vals = _float_list(text)
+    if len(vals) > _MAX_SCHEDULE:
+        raise argparse.ArgumentTypeError(f"at most {_MAX_SCHEDULE} entries, "
+                                         f"got {len(vals)}")
     return vals
 
 
@@ -94,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="combed/ragged report for a grid "
                                         "(or certificate for coefficients)")
     p.add_argument("--input", required=True)
-    p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list)
+    p.add_argument("--eps-schedule", dest="eps_schedule", type=_schedule)
     p.add_argument("--tol", type=float)
     p.add_argument("--output", help="report JSON path (default stdout)")
 
@@ -106,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "(default: input size)")
     p.add_argument("--n", type=int,
                    help="truncation order for fourier/disk on grid input")
-    p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list)
-    p.add_argument("--rho-schedule", dest="rho_schedule", type=_float_list,
+    p.add_argument("--eps-schedule", dest="eps_schedule", type=_schedule)
+    p.add_argument("--rho-schedule", dest="rho_schedule", type=_schedule,
                    help="radii increasing toward 1 for the disk route")
     p.add_argument("--output", required=True)
 
@@ -115,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "extrapolate to the boundary")
     p.add_argument("--input", required=True, help="coefficient JSON")
     p.add_argument("--rho", type=float)
-    p.add_argument("--rho-schedule", dest="rho_schedule", type=_float_list)
+    p.add_argument("--rho-schedule", dest="rho_schedule", type=_schedule)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--domain", type=_float_list,
                    help="a,b: tag the output grid as interval data")
@@ -131,13 +144,12 @@ def _check_size(flag, value, least):
                           f"got {value}")
 
 
-def _check_work(flag, schedule, what, nodes):
-    """DomainError when `schedule` over `nodes` nodes exceeds _MAX_WORK;
-    `flag` and `what` name where each came from."""
-    if len(schedule) * nodes > _MAX_WORK:
+def _check_work(flag, schedule, what, nodes, cap):
+    """DomainError when the user's `schedule` over `nodes` nodes exceeds
+    `cap` entries x nodes; `flag` and `what` name where each came from."""
+    if schedule is not None and len(schedule) * nodes > cap:
         raise DomainError(f"{flag} with {len(schedule)} entries on {what} "
-                          f"of {nodes} nodes exceeds {_MAX_WORK} "
-                          f"entries x nodes")
+                          f"of {nodes} nodes exceeds {cap} entries x nodes")
 
 
 def _given(args, flags) -> dict:
@@ -221,10 +233,11 @@ def cmd_classify(args) -> int:
             formats.load_coefficients(args.input))
         report = classify.certificate_report(cert)
     else:
-        from .realfilter import DEFAULT_EPS_SCHEDULE, grid_evaluator
+        from .realfilter import grid_evaluator
         grid = formats.read_grid(args.input)
-        _check_work("--eps-schedule", args.eps_schedule or
-                    DEFAULT_EPS_SCHEDULE, "the input grid", grid.n)
+        _check_size("the input grid's node count", grid.n, 2)
+        _check_work("--eps-schedule", args.eps_schedule, "the input grid",
+                    grid.n, _MAX_WINDOW_WORK)
         report = classify.classify_pointwise(
             grid_evaluator(grid), n_grid=grid.n,
             **_given(args, ("eps_schedule", "tol")))
@@ -252,17 +265,16 @@ def cmd_comb(args) -> int:
         seq, grid = formats.load_coefficients(args.input), None
     else:
         seq, grid = None, formats.read_grid(args.input)
+        _check_size("the input grid's node count", grid.n, 2)
     n_grid = args.grid if args.grid is not None else \
         (grid.n if grid is not None else 256)
+    # Each method reads at most one schedule; _refuse_unread above
+    # refuses the other.
     what = "--grid" if args.grid is not None else "the output grid"
-    if args.method == "filter-limit":
-        from .realfilter import DEFAULT_EPS_SCHEDULE
-        _check_work("--eps-schedule", args.eps_schedule or
-                    DEFAULT_EPS_SCHEDULE, what, n_grid)
-    elif args.method == "disk":
-        from .disk import DEFAULT_DELTA_SCHEDULE
-        _check_work("--rho-schedule", args.rho_schedule or
-                    DEFAULT_DELTA_SCHEDULE, what, n_grid)
+    _check_work("--eps-schedule", args.eps_schedule, what, n_grid,
+                _MAX_WINDOW_WORK)
+    _check_work("--rho-schedule", args.rho_schedule, what, n_grid,
+                _MAX_RADIAL_WORK)
     singulars = None if grid is None else grid.singular_points
     if seq is None and args.method != "filter-limit":
         if grid.domain is not None:
@@ -298,8 +310,8 @@ def cmd_eval(args) -> int:
                           "--rho-schedule")
     from .disk import boundary_value_grid, ring_grid
     _check_size("--grid", args.grid, 2)
-    if args.rho_schedule is not None:
-        _check_work("--rho-schedule", args.rho_schedule, "--grid", args.grid)
+    _check_work("--rho-schedule", args.rho_schedule, "--grid", args.grid,
+                _MAX_RADIAL_WORK)
     domain = None if args.domain is None \
         else check_interval(args.domain, "--domain")
     seq = formats.load_coefficients(args.input)

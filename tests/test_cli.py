@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import circlecomb._quad
 from circlecomb import catalog, classify, cli, disk, realfilter, spectrum
 from circlecomb.catalog import make
-from circlecomb.errors import DomainError
 from circlecomb.formats import (
     dumps_report,
     load_coefficients,
@@ -441,53 +440,104 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["eval", "--input", "{seq}", "--rho-schedule", "{radii}",
-          "--grid", "1048576"], "--rho-schedule with 20 entries on --grid"),
+          "--grid", "1048576"], "--rho-schedule with 33 entries on --grid"),
         (["comb", "--input", "{seq}", "--method", "disk", "--rho-schedule",
           "{radii}", "--grid", "1048576"],
-         "--rho-schedule with 20 entries on --grid"),
+         "--rho-schedule with 33 entries on --grid"),
         (["comb", "--input", "{grid}", "--method", "disk", "--rho-schedule",
           "{radii}", "--grid", "1048576"],
-         "--rho-schedule with 20 entries on --grid"),
+         "--rho-schedule with 33 entries on --grid"),
         (["comb", "--input", "{grid}", "--method", "filter-limit",
           "--eps-schedule", "{widths}", "--grid", "1048576"],
-         "--eps-schedule with 17 entries on --grid"),
+         "--eps-schedule with 7 entries on --grid"),
         (["comb", "--input", "{big}", "--method", "filter-limit",
           "--eps-schedule", "{many}"],
-         "--eps-schedule with 4097 entries on the output grid"),
+         "--eps-schedule with 49 entries on the output grid"),
         (["classify", "--input", "{big}", "--eps-schedule", "{many}"],
-         "--eps-schedule with 4097 entries on the input grid"),
+         "--eps-schedule with 49 entries on the input grid"),
     ], ids=["eval-rho-schedule", "comb-disk", "comb-disk-grid",
             "comb-filter-limit", "comb-filter-limit-input",
             "classify"])
     def test_schedules_past_the_work_cap_exit_2_before_any_work(
             self, workdir, tmp_path, capsys, argv, message):
-        # Just past 16 x 2^20 entries x nodes: 20 x 2^20, 17 x 2^20 and
-        # 4097 x 4096.
-        big = tmp_path / "cos4096.csv"
-        write_grid(big, GridFunction(np.cos(grid_nodes(4096)),
-                                     np.ones(4096, bool)))
+        # Just past 32 x 2^20 (radial) and 6 x 2^20 (shrinking-window)
+        # entries x nodes: 33 x 2^20, 7 x 2^20 and 49 x 2^17.
+        big = tmp_path / "cos131072.csv"
+        write_grid(big, GridFunction(np.cos(grid_nodes(1 << 17)),
+                                     np.ones(1 << 17, bool)))
         fill = {"seq": workdir / "cosseq.json", "grid": workdir / "cos256.csv",
                 "big": big,
                 "radii": ",".join(str(1.0 - 0.5 ** (j + 4))
-                                  for j in range(20)),
-                "widths": ",".join(str(0.2 * 0.9 ** j) for j in range(17)),
-                "many": ",".join(str(0.2 * 0.999 ** j) for j in range(4097))}
+                                  for j in range(33)),
+                "widths": ",".join(str(0.2 * 0.9 ** j) for j in range(7)),
+                "many": ",".join(str(0.2 * 0.95 ** j) for j in range(49))}
         out = tmp_path / "out"
         assert cli.main([a.format(**fill) for a in argv]
                         + ["--output", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0], err
-        assert f"exceeds {16 << 20} entries x nodes" in err[0]
+        cap = (32 if "rho" in message else 6) << 20
+        assert f"exceeds {cap} entries x nodes" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "{big}", "--eps-schedule", "{widths}"],
+        ["comb", "--input", "{big}", "--method", "filter-limit",
+         "--eps-schedule", "{widths}"],
+        ["comb", "--input", "{seq}", "--method", "disk", "--rho-schedule",
+         "{radii}"],
+        ["eval", "--input", "{seq}", "--rho-schedule", "{radii}"],
+    ], ids=["classify", "comb-filter-limit", "comb-disk", "eval"])
+    @pytest.mark.parametrize("length", [65, 4096])
+    def test_schedules_past_64_entries_exit_2_at_parsing(
+            self, workdir, tmp_path, capsys, argv, length):
+        # The limit tableau's time grows with the square of the length:
+        # 4097 widths on this grid ran for minutes without the cap.
+        big = tmp_path / "cos4096.csv"
+        write_grid(big, GridFunction(np.cos(grid_nodes(4096)),
+                                     np.ones(4096, bool)))
+        fill = {"seq": workdir / "cosseq.json", "big": big,
+                "radii": ",".join(str(1.0 - 0.5 / (j + 1))
+                                  for j in range(length)),
+                "widths": ",".join(str(0.2 / (j + 1))
+                                   for j in range(length))}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([a.format(**fill) for a in argv]
+                     + ["--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert f"at most 64 entries, got {length}" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "{big}"],
+        ["comb", "--input", "{big}", "--method", "filter-limit"],
+        ["comb", "--input", "{big}", "--method", "fourier"],
+    ], ids=["classify", "comb-filter-limit", "comb-fourier"])
+    def test_input_grids_past_the_size_cap_exit_2(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # The default schedules fit the work caps on any grid within
+        # _MAX_SIZE, so an input grid is held to it like --grid.
+        monkeypatch.setattr(cli, "_MAX_SIZE", 1024)
+        big = tmp_path / "cos4096.csv"
+        write_grid(big, GridFunction(np.cos(grid_nodes(4096)),
+                                     np.ones(4096, bool)))
+        out = tmp_path / "out"
+        assert cli.main([a.format(big=big) for a in argv]
+                        + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert "the input grid's node count must lie in [2, 1024], " \
+            "got 4096" in err[0]
         assert not out.exists()
 
     def test_the_default_schedules_fit_on_the_largest_grids(self):
-        for schedule in (realfilter.DEFAULT_EPS_SCHEDULE,
-                         disk.DEFAULT_DELTA_SCHEDULE):
-            cli._check_work("--schedule", schedule, "--grid", cli._MAX_SIZE)
-        cli._check_work("--schedule", (0.5,) * 16, "--grid", cli._MAX_SIZE)
-        with pytest.raises(DomainError, match="17 entries"):
-            cli._check_work("--schedule", (0.5,) * 17, "--grid",
-                            cli._MAX_SIZE)
+        assert len(realfilter.DEFAULT_EPS_SCHEDULE) * cli._MAX_SIZE \
+            <= cli._MAX_WINDOW_WORK
+        assert len(disk.DEFAULT_DELTA_SCHEDULE) * cli._MAX_SIZE \
+            <= cli._MAX_RADIAL_WORK
 
     @pytest.mark.parametrize("domain", ["5,1", "nan,1", "0,inf", "1,2,3",
                                         "-1.7e308,1.7e308"])
