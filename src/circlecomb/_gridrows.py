@@ -95,9 +95,9 @@ def _g17_cells(x, out):
         out[slow] = np.frombuffer(text, np.uint8).reshape(-1, _CELL)
 
 
-def grid_rows(thetas, values, defined) -> bytes:
-    """The rows of a grid CSV, `%.17g,%.17g,%d` per node."""
-    chunks = []
+def grid_rows(thetas, values, defined):
+    """The rows of a grid CSV, `%.17g,%.17g,%d` per node, as successive
+    chunks of bytes of up to `_CHUNK` rows each."""
     for start in range(0, thetas.size, _CHUNK):
         part = slice(start, start + _CHUNK)
         flags = defined[part]
@@ -110,5 +110,4 @@ def grid_rows(thetas, values, defined) -> bytes:
         cells[:, _CELL] = ord(",")
         cells[1::2, _CELL + 1] = flags + ord("0")
         cells[1::2, _CELL + 2] = ord("\n")
-        chunks.append(cells.tobytes().translate(None, b"\0"))
-    return b"".join(chunks)
+        yield cells.tobytes().translate(None, b"\0")

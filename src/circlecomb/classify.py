@@ -253,7 +253,8 @@ def comb_from_coefficients(seq: CoefficientSequence, n_grid: int = 256,
         singular_points = _generator_singulars(seq)
     full = partial_sum_grid(seq, n_grid)
     half = partial_sum_grid(seq, n_grid, m=seq.n // 2)
-    sup = float(np.max(np.abs(full - half))) if seq.n else 0.0
+    np.subtract(full, half, out=half)
+    sup = float(np.max(np.abs(half, out=half))) if seq.n else 0.0
     grid = GridFunction(
         values=full, defined=np.ones(n_grid, dtype=bool),
         singular_points=tuple(singular_points),

@@ -33,12 +33,12 @@ _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
                   "base", "point", "value")
 
 # Largest --n and --grid accepted; larger ones are refused before
-# anything is allocated.  Memory is linear in both, and the costliest
-# is a coefficient JSON: `spectrum --catalog --n 131072` peaks at
-# 127 MB, about 0.75 KB per term above the 31 MB import floor (a grid
-# node costs about a third of that).  So 2^20 keeps a job under about
-# 1 GB and leaves 8x headroom above the largest sizes in use (131072
-# nodes, 32768 harmonics).
+# anything is allocated.  Memory is linear in both: at 2^20 a job peaks
+# at 266 MB for a coefficient JSON (`spectrum --n`), 81-102 MB on the
+# grid routes and about 790 MB on the shrinking-window routes with their
+# default four widths.  So 2^20 keeps a job under about 1 GB and leaves
+# 8x headroom above the largest sizes in use (131072 nodes, 32768
+# harmonics).
 _MAX_SIZE = 1 << 20
 # Longest schedule accepted: the limit tableau takes time in its square.
 # Each entry also holds a few arrays over the nodes, about 150 bytes per

@@ -9,8 +9,10 @@ the rows of a grid CSV by `_gridrows`, which gives the bytes of
 `%`-formatting with no Python object per cell, and the terms of a
 coefficient document and the nodes of a report each by one `%`-format
 over a flat tuple of cells; the small parts take the element-wise
-writer.  Every writer serializes before it opens its file, so a
-refused value leaves no file behind.
+writer.  The JSON writers serialize before they open their file, so a
+refused value leaves no file behind.  A grid body holds no value to
+refuse, so it streams to its file a chunk of rows at a time, and a
+failure meanwhile removes the partial file.
 
 Reads are strict; a malformed file raises `DomainError` naming it.
 Files must be UTF-8.  A grid CSV is the header `theta,value,defined`
@@ -18,6 +20,8 @@ and at least 2 rows of two decimal numbers and an integer (the grammar
 of `np.loadtxt`: no digit separators, no quotes, no comments; empty
 lines are skipped).  `defined` is exactly 0 or 1, the thetas are the
 nodes of `grid_nodes` to 1e-9, and every defined value is finite.
+Messages count the body's rows from 1, the first non-empty line after
+the header; empty lines are not counted.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import warnings
 from itertools import chain
 
@@ -199,14 +204,25 @@ def _sidecar(path) -> str:
 
 def write_grid(path, grid: GridFunction):
     """Grid CSV plus a metadata sidecar at `<path>.json`, which records
-    the singular points, the note and, on interval data, the domain."""
+    the singular points, the note and, on interval data, the domain.
+
+    The body streams to the file a chunk of rows at a time.  If anything
+    raises meanwhile, the partial file is removed when it is a regular
+    file (a device such as /dev/null stays) and the error propagates."""
     # GridFunction holds finite values where defined and NaN elsewhere,
     # which `%.17g` writes as "nan", so the rows need no checks.
     from ._gridrows import grid_rows
-    body = grid_rows(grid.thetas(), grid.values, grid.defined)
-    with open(path, "wb") as fh:
-        fh.write(_GRID_HEADER.encode() + b"\n")
-        fh.write(body)
+    rows = grid_rows(grid.thetas(), grid.values, grid.defined)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(_GRID_HEADER.encode() + b"\n")
+            for chunk in rows:
+                fh.write(chunk)
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
     meta = {"singular_points": [float(s) for s in grid.singular_points],
             "note": grid.note}
     if grid.domain is not None:
@@ -224,6 +240,16 @@ def _finite_list(raw, what):
     except OverflowError:       # an integer beyond the float range
         pass
     raise DomainError(f"{what} must be a list of finite numbers")
+
+
+def _from_one(exc: ValueError) -> str:
+    """The parser's message with its rows counted from 1: `np.loadtxt`
+    counts them from 0 in a conversion error ("at row 3, column 2" on
+    the fourth) and from 1 in a column-count error."""
+    # Where a conversion error ends; a token holds no comma.
+    return re.sub(r" at row (\d+), column (\d+)(?=\.?$)",
+                  lambda m: f" at row {int(m[1]) + 1}, column {m[2]}",
+                  str(exc))
 
 
 def _loose_flag(path, row, flag) -> DomainError:
@@ -247,7 +273,7 @@ def read_grid(path):
         raise _not_utf8(path, exc) from None
     except ValueError as exc:
         # The parser's message names the token, row and column.
-        raise DomainError(f"{path}: {exc}") from None
+        raise DomainError(f"{path}: {_from_one(exc)}") from None
     n = rows.size
     if n < 2:
         raise DomainError(f"{path}: a grid needs at least 2 rows")

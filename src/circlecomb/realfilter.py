@@ -123,25 +123,51 @@ def _interpolant_windows(grid: GridFunction, c, q):
     bad_count = np.zeros(ext.size + 1, dtype=int)
     np.cumsum(np.take(~grid.defined, ext, mode="wrap"), out=bad_count[1:])
     bad = bad_count[2:][hi] > bad_count[lo]
+    del bad_count
 
+    # Each temporary is dropped once read and the sums run in place, one
+    # float array at a time; each sum keeps the order of its terms, on
+    # which the outputs' last bits depend.
     v = np.where(grid.defined, grid.values, 0.0)
     check_grid_sums(v)
     mean = np.mean(v)
-    w = np.take(v - mean, ext, mode="wrap")
-    cells = 0.5 * (w[:-1] + w[1:])
+    v -= mean
+    w = np.take(v, ext, mode="wrap")
+    del ext, v
+    cells = w[:-1] + w[1:]
+    cells *= 0.5
     F = np.zeros(w.size)
     np.cumsum(cells, out=F[1:])
     # The exact rounding error of every step of the running sum, by
-    # TwoSum, summed apart: F + E is the prefix to O(u^2).
+    # TwoSum, summed apart: F + E is the prefix to O(u^2).  `step` ends
+    # as (F[:-1] - (F[1:] - step)) + (cells - step).
     step = F[1:] - F[:-1]
+    cells -= step
+    np.subtract(F[1:], step, out=step)
+    np.subtract(F[:-1], step, out=step)
+    step += cells
+    del cells
     E = np.zeros(w.size)
-    np.cumsum((F[:-1] - (F[1:] - step)) + (cells - step), out=E[1:])
-    # Whole cells jl..jh plus the two end pieces.
+    np.cumsum(step, out=E[1:])
+    del step
+    # Whole cells jl..jh plus the two end pieces, added left to right.
     w_hi, w_lo = w[hi], w[1:][lo]
-    span = (F[hi] - F[1:][lo]) + (E[hi] - E[1:][lo]) \
-        + (th * w_hi + tl * w_lo) \
-        + 0.5 * th * th * (w[1:][hi] - w_hi) + 0.5 * tl * tl * (w[lo] - w_lo)
-    out = mean + span / (2.0 * q)
+    span = F[hi] - F[1:][lo]
+    del F
+    span += E[hi] - E[1:][lo]
+    del E
+    piece = th * w_hi
+    piece += tl * w_lo
+    span += piece
+    np.subtract(w[1:][hi], w_hi, out=piece)
+    piece *= 0.5 * th * th
+    span += piece
+    np.subtract(w[lo], w_lo, out=piece)
+    piece *= 0.5 * tl * tl
+    span += piece
+    span /= 2.0 * q
+    span += mean
+    out = span
     if c is not None:
         inside = (qi == 0) & (np.abs(a) > fq)
         p, side = pad + r[inside], np.sign(a[inside]).astype(int)

@@ -342,8 +342,11 @@ def grid_nodes(n_nodes):
     outside [-pi, pi).
     """
     n = int(n_nodes)
-    i = np.arange(n)
-    return ((2 * i - n) / n) * math.pi
+    # 2 i - n, exact below 2^52 nodes, then in place in the same array.
+    x = np.arange(-n, n, 2, dtype=float)
+    x /= n
+    x *= math.pi
+    return x
 
 
 def horner(coeffs, z):
@@ -380,7 +383,11 @@ def grid_sum(a0, c, n_nodes, rho=1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(c, weights, out=folded[1:c.size + 1])
         bins = folded.reshape(-1, n_nodes).sum(axis=0)
-        out = a0 + np.fft.ifft(bins, norm="forward").real
+        del folded
+        sums = np.fft.ifft(bins, norm="forward")
+        del bins
+        # A new array, not a view that would keep the complex sums.
+        out = a0 + sums.real
     if not np.all(np.isfinite(out)):
         raise DomainError("coefficients too large: their sums on the grid "
                           "overflow the float range")

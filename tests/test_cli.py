@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circlecomb._gridrows
 import circlecomb._quad
 from circlecomb import catalog, classify, cli, disk, realfilter, spectrum
 from circlecomb.catalog import make
@@ -725,6 +726,41 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "circlecomb spectrum: numeric failure: MemoryError\n"
         assert not out.exists()
+
+    def test_a_write_that_fails_midway_leaves_no_file(self, workdir,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        # 65536 rows stream in 8 chunks; the second one runs out of memory
+        # after the header and the first chunk reached the file.
+        chunks = []
+
+        def second_chunk_fails(x, out):
+            chunks.append(x.size)
+            if len(chunks) == 2:
+                raise MemoryError()
+            cells(x, out)
+        cells = circlecomb._gridrows._g17_cells
+        monkeypatch.setattr(circlecomb._gridrows, "_g17_cells",
+                            second_chunk_fails)
+        out = tmp_path / "ring.csv"
+        assert cli.main(["eval", "--input", str(workdir / "cosseq.json"),
+                         "--rho", "0.5", "--grid", "65536",
+                         "--output", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "circlecomb eval: numeric failure: MemoryError\n"
+        assert len(chunks) == 2
+        assert not out.exists()
+        assert not (tmp_path / "ring.csv.json").exists()
+
+    def test_a_failed_write_to_a_device_removes_nothing(self, monkeypatch):
+        def fails(x, out):
+            raise MemoryError()
+        removed = []
+        monkeypatch.setattr(circlecomb._gridrows, "_g17_cells", fails)
+        monkeypatch.setattr(os, "remove", removed.append)
+        with pytest.raises(MemoryError):
+            write_grid(os.devnull, GridFunction(np.zeros(4), np.ones(4, bool)))
+        assert removed == []
 
     @pytest.mark.parametrize("argv", [
         ["comb", "--input", "{seq}", "--method", "disk"],

@@ -249,6 +249,28 @@ class TestGridFiles:
             with pytest.raises(DomainError):
                 read_grid(path)
 
+    @pytest.mark.parametrize("cells,message", [
+        ("t,x,1", "'x' to float64 at row 4, column 2."),
+        ("t,0.5,2", "row 4: defined must be 0 or 1, got 2"),
+        ("t,x,2", "'x' to float64 at row 4, column 2."),
+        ("t,0.5,1.0", "'1.0' to int64 at row 4, column 3."),
+        ("t,0.5", "found at row 4;")],
+        ids=["value", "flag", "value-and-flag", "flag-not-integer",
+             "missing-column"])
+    def test_messages_count_rows_from_one(self, tmp_path, cells, message):
+        # The fault is on the fourth row of the body; the empty line
+        # before it is not counted.  The parser's messages and the
+        # flag check name it alike.
+        thetas = [repr(t) for t in grid_nodes(6).tolist()]
+        rows = [t + ",0.5,1" for t in thetas]
+        rows[3] = cells.replace("t", thetas[3])
+        path = tmp_path / "g.csv"
+        path.write_text("theta,value,defined\n" + rows[0] + "\n\n"
+                        + "\n".join(rows[1:]) + "\n")
+        with pytest.raises(DomainError) as exc:
+            read_grid(path)
+        assert message in str(exc.value)
+
     def test_defined_values_must_be_finite(self, tmp_path):
         th = grid_nodes(2)
         path = tmp_path / "nanrow.csv"
@@ -450,8 +472,8 @@ class TestColumnWiseFormats:
     def test_write_and_read_peaks_stay_below_the_row_loops(self, tmp_path):
         # Traced peaks of the row-at-a-time writer and reader on a grid of
         # this size: 23.9 MB to write, 18.6 MB to read.  The column-wise
-        # ones hold the body text and one chunk of cell slots (write) or
-        # the parsed rows (read).
+        # ones hold the thetas and one chunk of rows (write) or the
+        # parsed rows (read).
         grid = drawn_grid(11, 131072, 0.1)
         path = tmp_path / "g.csv"
         tracemalloc.start()
@@ -469,9 +491,8 @@ class TestColumnWiseFormats:
 
     def test_a_million_node_write_peaks_below_two_and_a_half_files(
             self, tmp_path):
-        # The body is serialized in full before the file opens, so the
-        # peak holds it about twice while its chunks are joined; with the
-        # row tuple of the `%`-format writer it reached 4 files.
+        # The body streams to the file a chunk at a time, so the peak,
+        # building the grid included, is about half the file.
         n = 1 << 20
         defined = np.arange(n) % 7 != 0
         values = np.where(defined, np.cos(3.0 * grid_nodes(n)), np.nan)
