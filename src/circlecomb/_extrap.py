@@ -8,7 +8,8 @@ extrapolation in the parameter itself handles those.
 `extrapolated_limits` runs both and keeps whichever settles better,
 judged by the divergence and concentrated-mass heuristics below.  This
 module is the one place for those limits: the schedule check, the
-Neville tableau, the model choice and the heuristics.
+Neville tableau (a row at a time), the model choice and the heuristics
+(one least-squares fit per distinct schedule), over one column per node.
 """
 
 from __future__ import annotations
@@ -25,38 +26,31 @@ def neville_to_zero(xs, values):
 
     `values` has shape (m,) or (m, n) with one row per sample, and `xs`
     shape (m,) or that of `values` (one schedule per column).  Returns
-    (value, corrections) where corrections[j] is the change of the
-    running extrapolant at level j+1; the last one is the usual
-    residual estimate.
+    (value, correction, grew): the running extrapolant's change at the
+    last level, the usual residual estimate, and whether every level
+    changed it strictly more than the one before (False for m < 3).
     """
     xs = np.asarray(xs, dtype=float)
     p = np.array(values, dtype=float)
     m = len(xs)
-    corrections = []
+    correction, grew = -np.inf, m > 2
     for lev in range(1, m):
-        prev = p[-1]
+        prev = p[m - lev]
         for i in range(m - lev):
             p[i] = p[i + 1] + (p[i + 1] - p[i]) * xs[i + lev] / (xs[i] - xs[i + lev])
-        p = p[:m - lev]
-        corrections.append(np.abs(p[-1] - prev))
-    return p[-1], corrections
+        change = np.abs(p[m - lev - 1] - prev)
+        grew = grew & (change > correction)
+        correction = change
+    return p[0].copy(), correction, grew
 
 
 # Corrections below this never count as a blowup, however they grow.
 _DIVERGENCE_FLOOR = 1e-8
 
 
-def diverging(corrections, values):
-    """Per column of the `neville_to_zero` corrections: they strictly grow
-    and end up large vs the extrapolated value."""
-    c = np.asarray(corrections, dtype=float)
-    growing = np.all(c[1:] > c[:-1], axis=0) & (len(c) >= 2)
-    return growing & (c[-1] > np.maximum(_DIVERGENCE_FLOOR,
-                                         0.1 * (1.0 + np.abs(values))))
-
-
-def mass_signature(eps_values, samples, tol):
-    """True when window averages grow like concentrated mass at the point.
+def mass_signatures(eps, samples, tol):
+    """Per column of `samples` (m, N): True when its window averages at
+    half-widths `eps` (m, N) grow like concentrated mass at the point.
 
     Mass lodged at the evaluation point itself (a jump's one-sided
     difference, an outlier sample under an interpolant) makes the
@@ -66,19 +60,33 @@ def mass_signature(eps_values, samples, tol):
     has to be read off the structure of the samples instead.  The fit
     separates the growth from the smooth background (constant plus
     eps^2); the flag needs the growth term to dominate both the fit
-    residual and the tolerance, and the residual to be structurally
-    small next to the growth, which keeps any amplitude of smooth or
-    kinked data unflagged (both guards scale linearly with the data).
+    residual and `tol` (a scalar or one per column), and the residual
+    to be structurally small next to the growth, which keeps any
+    amplitude of smooth or kinked data unflagged (both guards scale
+    linearly with the data).  Columns sharing a schedule share one fit;
+    an infinite tol or fewer than 4 samples never flag, and go unfitted.
     """
-    es = np.asarray(eps_values, dtype=float)
-    vals = np.asarray(samples, dtype=float)
-    if es.size < 4:
-        return False
-    basis = np.column_stack([np.ones(es.size), es ** 2, 1.0 / es])
-    coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
-    resid = float(np.sqrt(np.sum((vals - basis @ coef) ** 2)))
-    growth = abs(float(coef[2])) * (1.0 / es[-1] - 1.0 / es[0])
-    return growth > 4.0 * (resid + tol) and resid <= 0.01 * growth
+    tol = np.broadcast_to(tol, samples.shape[1:])
+    flags = np.zeros(tol.shape, dtype=bool)
+    cols = np.flatnonzero(tol < np.inf)
+    if len(eps) < 4 or not cols.size:
+        return flags
+    # Equal schedules end up adjacent; a group starts where a row changes.
+    cols = cols[np.lexsort([row[cols] for row in eps])]
+    starts = np.zeros(cols.size, dtype=bool)
+    for e in (row[cols] for row in eps):
+        starts[1:] |= e[1:] != e[:-1]
+    for group in np.split(cols, np.flatnonzero(starts)):
+        es = eps[:, group[0]]
+        basis = np.column_stack([np.ones(es.size), es ** 2, 1.0 / es])
+        vals = samples[:, group]
+        coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
+        vals -= basis @ coef
+        resid = np.sqrt(np.sum(vals * vals, axis=0))
+        growth = np.abs(coef[2]) * (1.0 / es[-1] - 1.0 / es[0])
+        flags[group] = (growth > 4.0 * (resid + tol[group])) \
+            & (resid <= 0.01 * growth)
+    return flags
 
 
 def check_eps_schedule(eps_schedule) -> np.ndarray:
@@ -106,17 +114,20 @@ def extrapolated_limits(eps, samples):
     with the concentrated-mass signature (growth like 1/eps, which
     polynomial extrapolation fits deceptively well).
     """
-    v_even, c_even = neville_to_zero(eps * eps, samples)
-    v_poly, c_poly = neville_to_zero(eps, samples)
-    poly = c_poly[-1] < c_even[-1]
+    v_even, c_even, g_even = neville_to_zero(eps * eps, samples)
+    v_poly, c_poly, g_poly = neville_to_zero(eps, samples)
+    poly = c_poly < c_even
     values = np.where(poly, v_poly, v_even)
     corr = np.where(poly, c_poly, c_even)
-    settled = np.isfinite(corr[-1]) & ~diverging(corr, values)
-    suspect = settled & (corr[-1] > 1e-3 * (1.0 + np.abs(values)))
-    mass_tol = 1e-9 * (1.0 + np.max(np.abs(samples), axis=0))
-    for j in np.flatnonzero(suspect):
-        settled[j] = not mass_signature(eps[:, j], samples[:, j], mass_tol[j])
-    return values, corr[-1], settled
+    diverging = np.where(poly, g_poly, g_even) & (
+        corr > np.maximum(_DIVERGENCE_FLOOR, 0.1 * (1.0 + np.abs(values))))
+    settled = np.isfinite(corr) & ~diverging
+    suspect = settled & (corr > 1e-3 * (1.0 + np.abs(values)))
+    # The largest |sample| of each column, with no (m, N) temporary.
+    top = np.maximum(np.max(samples, axis=0), -np.min(samples, axis=0))
+    settled &= ~mass_signatures(
+        eps, samples, np.where(suspect, 1e-9 * (1.0 + top), np.inf))
+    return values, corr, settled
 
 
 def extrapolated_limit(eps_values, samples):

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._extrap import (check_eps_schedule, extrapolated_limits,
-                      mass_signature, neville_to_zero)
+                      mass_signatures, neville_to_zero)
 from .errors import CircleCombError, DomainError
 from .realfilter import DEFAULT_EPS_SCHEDULE, window_averages
 from .spectrum import (CoefficientSequence, EvaluatorFunction, GridFunction,
@@ -134,18 +134,17 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
     # Averages that do not settle on concentrated mass: the node value
     # rides on mass the vanishing window can never keep, so recovery
     # fails outright.
-    massive = ~trusted & ~np.isnan(samples[0])
-    for j in np.flatnonzero(massive):
-        massive[j] = mass_signature(sched[:, j], samples[:, j], tol)
+    massive = mass_signatures(sched, samples, np.where(
+        ~trusted & ~np.isnan(samples[0]), tol, np.inf))
 
     probed = np.flatnonzero(missed | massive)
     jumps = np.zeros(live.size, dtype=bool)
     offs = np.array([2.0 * h_lateral, h_lateral, 0.5 * h_lateral])
     at = thetas[live[probed]]
-    lp, cp = neville_to_zero(offs, f.sample(wrap_angle(at + offs[:, None])))
-    lm, cm = neville_to_zero(offs, f.sample(wrap_angle(at - offs[:, None])))
+    lp, cp, _ = neville_to_zero(offs, f.sample(wrap_angle(at + offs[:, None])))
+    lm, cm, _ = neville_to_zero(offs, f.sample(wrap_angle(at - offs[:, None])))
     jumps[probed] = np.isfinite(lp) & np.isfinite(lm) \
-        & (np.abs(lp - lm) > tol + 4.0 * (cp[-1] + cm[-1]))
+        & (np.abs(lp - lm) > tol + 4.0 * (cp + cm))
 
     nodes = [NodeReport(float(t), UNDEFINED, None, None) for t in thetas]
     for j in np.flatnonzero(trusted | massive):

@@ -32,23 +32,18 @@ _USAGE_ERRORS = (DomainError, OutOfDomain, BadParams, UnknownName,
 _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
                   "base", "point", "value")
 
-# Largest --n and --grid accepted; larger ones are refused before
-# anything is allocated.  Memory is linear in both: at 2^20 a job peaks
-# at 266 MB for a coefficient JSON (`spectrum --n`), 81-102 MB on the
-# grid routes and about 790 MB on the shrinking-window routes with their
-# default four widths.  So 2^20 keeps a job under about 1 GB and leaves
-# 8x headroom above the largest sizes in use (131072 nodes, 32768
-# harmonics).
+# Largest --n, --grid and input grid accepted.  At 2^20 a job peaks at
+# 266 MB for coefficient JSON (`spectrum --n`), 83-94 MB on the grid
+# routes, and 305 MB (`comb --method filter-limit`) to 557 MB (`classify`
+# and its per-node report) with the default widths: under about 1 GB,
+# 8x above the largest sizes in use (131072 nodes, 32768 harmonics).
 _MAX_SIZE = 1 << 20
 # Longest schedule accepted: the limit tableau takes time in its square.
-# Each entry also holds a few arrays over the nodes, about 150 bytes per
-# entry and node on the shrinking-window routes (classify, comb --method
-# filter-limit) and 30 on the radial ones (comb --method disk, eval
-# --rho-schedule), so these caps on length x node count keep a job under
-# about 1 GB, as _MAX_SIZE does.
+# Every schedule route holds at most about 32 bytes per entry and node,
+# so one cap on entries x nodes serves all; at 32 entries on 2^20 nodes
+# jobs peak at 1.1-1.2 GB (shrinking windows) and 0.85 GB (radial).
 _MAX_SCHEDULE = 64
-_MAX_WINDOW_WORK = 6 * _MAX_SIZE
-_MAX_RADIAL_WORK = 32 * _MAX_SIZE
+_MAX_WORK = 32 * _MAX_SIZE
 
 
 def _float_list(text: str):
@@ -144,12 +139,19 @@ def _check_size(flag, value, least):
                           f"got {value}")
 
 
-def _check_work(flag, schedule, what, nodes, cap):
-    """DomainError when the user's `schedule` over `nodes` nodes exceeds
-    `cap` entries x nodes; `flag` and `what` name where each came from."""
-    if schedule is not None and len(schedule) * nodes > cap:
-        raise DomainError(f"{flag} with {len(schedule)} entries on {what} "
-                          f"of {nodes} nodes exceeds {cap} entries x nodes")
+def _check_work(flag, schedule, what, nodes):
+    """DomainError when `schedule` over `nodes` nodes exceeds _MAX_WORK
+    entries x nodes; `flag` and `what` name their sources."""
+    if schedule is not None and len(schedule) * nodes > _MAX_WORK:
+        raise DomainError(f"{flag} with {len(schedule)} entries on {what} of "
+                          f"{nodes} nodes exceeds {_MAX_WORK} entries x nodes")
+
+
+def _read_grid(path) -> GridFunction:
+    """The grid CSV at `path`, held to _MAX_SIZE nodes like --grid."""
+    grid = formats.read_grid(path)
+    _check_size("the input grid's node count", grid.n, 2)
+    return grid
 
 
 def _given(args, flags) -> dict:
@@ -192,7 +194,7 @@ def cmd_spectrum(args) -> int:
         _refuse_unread(args, _CATALOG_FLAGS, "spectrum --input")
         # Interval data is periodized: its seam jump becomes one more
         # piece of the interpolant.
-        seq = grid_coefficients(formats.read_grid(args.input).values, args.n)
+        seq = grid_coefficients(_read_grid(args.input).values, args.n)
     _write_doc(formats.dumps_coefficients(seq), args.output)
     return 0
 
@@ -211,7 +213,7 @@ def cmd_filter(args) -> int:
     if args.method == "multiplier":
         raise DomainError("multiplier filtering needs coefficient JSON "
                           "input; grid CSV uses --method kernel")
-    grid = formats.read_grid(args.input)
+    grid = _read_grid(args.input)
     if args.domain is not None:
         grid = replace(grid, domain=check_interval(args.domain, "--domain"))
     if grid.domain is not None:
@@ -234,10 +236,9 @@ def cmd_classify(args) -> int:
         report = classify.certificate_report(cert)
     else:
         from .realfilter import grid_evaluator
-        grid = formats.read_grid(args.input)
-        _check_size("the input grid's node count", grid.n, 2)
+        grid = _read_grid(args.input)
         _check_work("--eps-schedule", args.eps_schedule, "the input grid",
-                    grid.n, _MAX_WINDOW_WORK)
+                    grid.n)
         report = classify.classify_pointwise(
             grid_evaluator(grid), n_grid=grid.n,
             **_given(args, ("eps_schedule", "tol")))
@@ -264,17 +265,12 @@ def cmd_comb(args) -> int:
         _refuse_unread(args, ("n",), "comb on coefficient JSON")
         seq, grid = formats.load_coefficients(args.input), None
     else:
-        seq, grid = None, formats.read_grid(args.input)
-        _check_size("the input grid's node count", grid.n, 2)
+        seq, grid = None, _read_grid(args.input)
     n_grid = args.grid if args.grid is not None else \
         (grid.n if grid is not None else 256)
-    # Each method reads at most one schedule; _refuse_unread above
-    # refuses the other.
     what = "--grid" if args.grid is not None else "the output grid"
-    _check_work("--eps-schedule", args.eps_schedule, what, n_grid,
-                _MAX_WINDOW_WORK)
-    _check_work("--rho-schedule", args.rho_schedule, what, n_grid,
-                _MAX_RADIAL_WORK)
+    _check_work("--eps-schedule", args.eps_schedule, what, n_grid)
+    _check_work("--rho-schedule", args.rho_schedule, what, n_grid)
     singulars = None if grid is None else grid.singular_points
     if seq is None and args.method != "filter-limit":
         if grid.domain is not None:
@@ -310,8 +306,7 @@ def cmd_eval(args) -> int:
                           "--rho-schedule")
     from .disk import boundary_value_grid, ring_grid
     _check_size("--grid", args.grid, 2)
-    _check_work("--rho-schedule", args.rho_schedule, "--grid", args.grid,
-                _MAX_RADIAL_WORK)
+    _check_work("--rho-schedule", args.rho_schedule, "--grid", args.grid)
     domain = None if args.domain is None \
         else check_interval(args.domain, "--domain")
     seq = formats.load_coefficients(args.input)

@@ -224,8 +224,6 @@ def boundary_value_grid(seq: CoefficientSequence, n_nodes: int,
     blown = mags[-1] > max(_DIVERGE_SCALE * scale, 1e-12)
     diverged = growing & blown
 
-    values, corrections = neville_to_zero(d, rings)
-    residuals = np.asarray(corrections[-1], dtype=float)
-    values = np.where(diverged, np.nan, values)
-    residuals = np.where(diverged, np.nan, residuals)
+    values, residuals, _ = neville_to_zero(d, rings)
+    values[diverged] = residuals[diverged] = np.nan
     return values, residuals, ~diverged

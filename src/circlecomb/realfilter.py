@@ -98,33 +98,9 @@ def _interpolant_windows(grid: GridFunction, c, q):
     has no average when any of them is undefined.
     """
     n = grid.n
-    if c is not None:
-        c, q = np.broadcast_arrays(c, q)
-    qi = np.floor(q).astype(int)
-    fq = q - qi
-    pad = int(np.max(qi, initial=0)) + 2
-    r = 0 if c is None else np.rint(c)
-    a = 0.0 if c is None else c - r
-    # The ends: c + q = jh + th and c - q = jl - tl with th, tl in [0, 1).
-    # Position p of the extended arrays holds node (p - pad) mod n; hi
-    # and lo are the positions of jh and jl - 1.
-    s, d = a + fq, a - fq
-    th, tl = s - np.floor(s), np.ceil(d) - d
-    to_hi = pad + qi + np.floor(s).astype(int)
-    to_lo = pad - qi - 1 + np.ceil(d).astype(int)
-    if c is None:
-        hi, lo = slice(to_hi, to_hi + n), slice(to_lo, to_lo + n)
-    else:
-        r = r.astype(int) % n
-        hi, lo = r + to_hi, r + to_lo
+    pad = int(np.max(q, initial=0)) + 2
+    # Position p of the extended arrays holds node (p - pad) mod n.
     ext = np.arange(-pad, n + pad)
-    # Prefix sums start at 0: bad_count[p], F[p] and E[p] sum the
-    # positions before p.
-    bad_count = np.zeros(ext.size + 1, dtype=int)
-    np.cumsum(np.take(~grid.defined, ext, mode="wrap"), out=bad_count[1:])
-    bad = bad_count[2:][hi] > bad_count[lo]
-    del bad_count
-
     # Each temporary is dropped once read and the sums run in place, one
     # float array at a time; each sum keeps the order of its terms, on
     # which the outputs' last bits depend.
@@ -133,6 +109,7 @@ def _interpolant_windows(grid: GridFunction, c, q):
     mean = np.mean(v)
     v -= mean
     w = np.take(v, ext, mode="wrap")
+    undefined = np.take(~grid.defined, ext, mode="wrap")
     del ext, v
     cells = w[:-1] + w[1:]
     cells *= 0.5
@@ -150,29 +127,64 @@ def _interpolant_windows(grid: GridFunction, c, q):
     E = np.zeros(w.size)
     np.cumsum(step, out=E[1:])
     del step
-    # Whole cells jl..jh plus the two end pieces, added left to right.
-    w_hi, w_lo = w[hi], w[1:][lo]
-    span = F[hi] - F[1:][lo]
-    del F
-    span += E[hi] - E[1:][lo]
-    del E
-    piece = th * w_hi
-    piece += tl * w_lo
-    span += piece
-    np.subtract(w[1:][hi], w_hi, out=piece)
-    piece *= 0.5 * th * th
-    span += piece
-    np.subtract(w[lo], w_lo, out=piece)
-    piece *= 0.5 * tl * tl
-    span += piece
-    span /= 2.0 * q
-    span += mean
-    out = span
+    # Prefix sums start at 0: bad_count[p], F[p] and E[p] sum the
+    # positions before p.
+    bad_count = np.zeros(w.size + 1, dtype=int)
+    bad_count[1:] = undefined
+    del undefined
+    np.cumsum(bad_count, out=bad_count)
+    cs, qs = [None], [q]
     if c is not None:
-        inside = (qi == 0) & (np.abs(a) > fq)
-        p, side = pad + r[inside], np.sign(a[inside]).astype(int)
-        out[inside] = mean + (w[p] + np.abs(a[inside]) * (w[p + side] - w[p]))
-    out[bad] = np.nan
+        out = np.empty(np.broadcast(c, q).shape)
+        cs, qs, rows = np.atleast_2d(*np.broadcast_arrays(c, q), out)
+    # One row of (c, q) at a time; the last drops each prefix once read.
+    for k, (c, q) in enumerate(zip(cs, qs)):
+        last = k + 1 == len(cs)
+        qi = np.floor(q).astype(int)
+        fq = q - qi
+        r = 0 if c is None else np.rint(c)
+        a = 0.0 if c is None else c - r
+        # The ends: c + q = jh + th and c - q = jl - tl with th, tl in
+        # [0, 1).  hi and lo are the positions of jh and jl - 1.
+        s, d = a + fq, a - fq
+        th, tl = s - np.floor(s), np.ceil(d) - d
+        to_hi = pad + qi + np.floor(s).astype(int)
+        to_lo = pad - qi - 1 + np.ceil(d).astype(int)
+        if c is None:
+            hi, lo = slice(to_hi, to_hi + n), slice(to_lo, to_lo + n)
+        else:
+            r = r.astype(int) % n
+            hi, lo = r + to_hi, r + to_lo
+        bad = bad_count[2:][hi] > bad_count[lo]
+        if last:
+            del bad_count
+        # Whole cells jl..jh plus the two end pieces, added left to right.
+        w_hi, w_lo = w[hi], w[1:][lo]
+        span = F[hi] - F[1:][lo]
+        if last:
+            del F
+        span += E[hi] - E[1:][lo]
+        if last:
+            del E
+        piece = th * w_hi
+        piece += tl * w_lo
+        span += piece
+        np.subtract(w[1:][hi], w_hi, out=piece)
+        piece *= 0.5 * th * th
+        span += piece
+        np.subtract(w[lo], w_lo, out=piece)
+        piece *= 0.5 * tl * tl
+        span += piece
+        span /= 2.0 * q
+        span += mean
+        if c is not None:
+            inside = (qi == 0) & (np.abs(a) > fq)
+            p, side = pad + r[inside], np.sign(a[inside]).astype(int)
+            span[inside] = mean + (w[p] + np.abs(a[inside]) * (w[p + side] - w[p]))
+        span[bad] = np.nan
+        if c is None:
+            return span
+        rows[k] = span
     return out
 
 

@@ -219,7 +219,7 @@ class GridFunction:
         if v.ndim != 1 or v.shape != d.shape or v.size < 2:
             raise DomainError("grid needs matching 1-D values and mask, "
                               "at least 2 nodes")
-        if not np.all(np.isfinite(v[d])):
+        if not np.all(np.isfinite(v) | ~d):
             raise DomainError("grid values must be finite wherever defined")
         v[~d] = np.nan
         v.setflags(write=False)

@@ -450,35 +450,35 @@ class TestExitCodes:
          "--rho-schedule with 33 entries on --grid"),
         (["comb", "--input", "{grid}", "--method", "filter-limit",
           "--eps-schedule", "{widths}", "--grid", "1048576"],
-         "--eps-schedule with 7 entries on --grid"),
+         "--eps-schedule with 33 entries on --grid"),
         (["comb", "--input", "{big}", "--method", "filter-limit",
           "--eps-schedule", "{many}"],
-         "--eps-schedule with 49 entries on the output grid"),
+         "--eps-schedule with 64 entries on the output grid"),
         (["classify", "--input", "{big}", "--eps-schedule", "{many}"],
-         "--eps-schedule with 49 entries on the input grid"),
+         "--eps-schedule with 64 entries on the input grid"),
     ], ids=["eval-rho-schedule", "comb-disk", "comb-disk-grid",
             "comb-filter-limit", "comb-filter-limit-input",
             "classify"])
     def test_schedules_past_the_work_cap_exit_2_before_any_work(
             self, workdir, tmp_path, capsys, argv, message):
-        # Just past 32 x 2^20 (radial) and 6 x 2^20 (shrinking-window)
-        # entries x nodes: 33 x 2^20, 7 x 2^20 and 49 x 2^17.
-        big = tmp_path / "cos131072.csv"
-        write_grid(big, GridFunction(np.cos(grid_nodes(1 << 17)),
-                                     np.ones(1 << 17, bool)))
+        # Just past 32 x 2^20 entries x nodes, the one cap of every
+        # schedule route: 33 x 2^20, and 64 x (2^19 + 1) on an input grid.
         fill = {"seq": workdir / "cosseq.json", "grid": workdir / "cos256.csv",
-                "big": big,
+                "big": tmp_path / "cos524289.csv",
                 "radii": ",".join(str(1.0 - 0.5 ** (j + 4))
                                   for j in range(33)),
-                "widths": ",".join(str(0.2 * 0.9 ** j) for j in range(7)),
-                "many": ",".join(str(0.2 * 0.95 ** j) for j in range(49))}
+                "widths": ",".join(str(0.2 * 0.9 ** j) for j in range(33)),
+                "many": ",".join(str(0.2 * 0.95 ** j) for j in range(64))}
+        if "{big}" in argv:
+            n = (1 << 19) + 1
+            write_grid(fill["big"], GridFunction(np.cos(grid_nodes(n)),
+                                                 np.ones(n, bool)))
         out = tmp_path / "out"
         assert cli.main([a.format(**fill) for a in argv]
                         + ["--output", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0], err
-        cap = (32 if "rho" in message else 6) << 20
-        assert f"exceeds {cap} entries x nodes" in err[0]
+        assert f"exceeds {32 << 20} entries x nodes" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -516,11 +516,14 @@ class TestExitCodes:
         ["classify", "--input", "{big}"],
         ["comb", "--input", "{big}", "--method", "filter-limit"],
         ["comb", "--input", "{big}", "--method", "fourier"],
-    ], ids=["classify", "comb-filter-limit", "comb-fourier"])
+        ["filter", "--input", "{big}", "--eps", "0.01"],
+        ["spectrum", "--input", "{big}"],
+    ], ids=["classify", "comb-filter-limit", "comb-fourier", "filter",
+            "spectrum"])
     def test_input_grids_past_the_size_cap_exit_2(
             self, tmp_path, capsys, monkeypatch, argv):
-        # The default schedules fit the work caps on any grid within
-        # _MAX_SIZE, so an input grid is held to it like --grid.
+        # The default schedules fit the work cap on any grid within
+        # _MAX_SIZE, so every input grid is held to it like --grid.
         monkeypatch.setattr(cli, "_MAX_SIZE", 1024)
         big = tmp_path / "cos4096.csv"
         write_grid(big, GridFunction(np.cos(grid_nodes(4096)),
@@ -536,9 +539,9 @@ class TestExitCodes:
 
     def test_the_default_schedules_fit_on_the_largest_grids(self):
         assert len(realfilter.DEFAULT_EPS_SCHEDULE) * cli._MAX_SIZE \
-            <= cli._MAX_WINDOW_WORK
+            <= cli._MAX_WORK
         assert len(disk.DEFAULT_DELTA_SCHEDULE) * cli._MAX_SIZE \
-            <= cli._MAX_RADIAL_WORK
+            <= cli._MAX_WORK
 
     @pytest.mark.parametrize("domain", ["5,1", "nan,1", "0,inf", "1,2,3",
                                         "-1.7e308,1.7e308"])

@@ -52,9 +52,9 @@ BASES = [
 ]
 
 # Runs the size cap admits but that would cost this test as much as the
-# rest together: 2^20 coefficient terms in JSON (266 MB, 2.4 s) and
-# shrinking windows on 2^20 nodes (762 MB).  One past the cap still
-# runs on both.
+# rest together: 2^20 coefficient terms in JSON (266 MB, about 2 s) and
+# shrinking windows on 2^20 nodes (305 MB, about 2 s).  One past the cap
+# still runs on both.
 COSTLY = {("spectrum", "--n", str(CAP)), ("filter-limit", "--grid", str(CAP))}
 
 
