@@ -4,14 +4,36 @@ Subcommands: spectrum, filter, classify, comb, eval.  Coefficient data
 travels as JSON, sampled data as grid CSV with a metadata sidecar.
 Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 Identical inputs and flags always produce byte-identical outputs.
+
+An `--output` that cannot be written (a missing or unwritable directory,
+a name past the file system's limit, on the grid routes also for its
+`<output>.json` sidecar) exits 2 before any input is read, and creates
+no file.  Input files are held to `formats.MAX_SIZE` entries by their
+readers, by byte size before they are parsed.
+
+The process runs BLAS on one thread unless the caller sets a count:
+loading this module before numpy sets `OPENBLAS_NUM_THREADS=1` when none
+of `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS` and `OMP_NUM_THREADS` is
+set.  An idle OpenBLAS worker busy-waits before it sleeps, which costs
+a job this short about a third of its CPU time on a second core; the
+CLI's BLAS calls are small least-squares fits that gain nothing from
+threads, and one thread keeps results independent of the core count.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import warnings
 from dataclasses import replace
+
+# Before numpy loads OpenBLAS, which reads its thread count once.
+if "numpy" not in sys.modules and not any(
+        key in os.environ for key in ("OPENBLAS_NUM_THREADS",
+                                      "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -32,18 +54,12 @@ _USAGE_ERRORS = (DomainError, OutOfDomain, BadParams, UnknownName,
 _CATALOG_FLAGS = ("theta0", "order", "c", "k", "l_minus", "l_plus",
                   "base", "point", "value")
 
-# Largest --n, --grid and input grid accepted.  At 2^20 a job peaks at
-# 266 MB for coefficient JSON (`spectrum --n`), 83-94 MB on the grid
-# routes, and 305 MB (`comb --method filter-limit`) to 557 MB (`classify`
-# and its per-node report) with the default widths: under about 1 GB,
-# 8x above the largest sizes in use (131072 nodes, 32768 harmonics).
-_MAX_SIZE = 1 << 20
 # Longest schedule accepted: the limit tableau takes time in its square.
 # Every schedule route holds at most about 32 bytes per entry and node,
 # so one cap on entries x nodes serves all; at 32 entries on 2^20 nodes
 # jobs peak at 1.1-1.2 GB (shrinking windows) and 0.85 GB (radial).
 _MAX_SCHEDULE = 64
-_MAX_WORK = 32 * _MAX_SIZE
+_MAX_WORK = 32 * formats.MAX_SIZE
 
 
 def _float_list(text: str):
@@ -133,10 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_size(flag, value, least):
-    """DomainError unless `value` is unset or lies in [least, _MAX_SIZE]."""
-    if value is not None and not least <= value <= _MAX_SIZE:
-        raise DomainError(f"{flag} must lie in [{least}, {_MAX_SIZE}], "
-                          f"got {value}")
+    """DomainError unless `value` is unset or lies in [least, MAX_SIZE]."""
+    cap = formats.MAX_SIZE
+    if value is not None and not least <= value <= cap:
+        raise DomainError(f"{flag} must lie in [{least}, {cap}], got {value}")
 
 
 def _check_work(flag, schedule, what, nodes):
@@ -147,11 +163,26 @@ def _check_work(flag, schedule, what, nodes):
                           f"{nodes} nodes exceeds {_MAX_WORK} entries x nodes")
 
 
-def _read_grid(path) -> GridFunction:
-    """The grid CSV at `path`, held to _MAX_SIZE nodes like --grid."""
-    grid = formats.read_grid(path)
-    _check_size("the input grid's node count", grid.n, 2)
-    return grid
+def _check_output(path, sidecar):
+    """OSError, as `open` would raise it, unless `path` (and `<path>.json`
+    when `sidecar`) can be opened for writing: its directory exists and
+    is writable, its name fits the directory's name limit, and an
+    existing file (or device) is writable.  Creates nothing."""
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        raise OSError(code, os.strerror(code), folder)
+    limit = os.pathconf(folder, "PC_NAME_MAX")
+    for target in (path, path + ".json") if sidecar else (path,):
+        base = os.path.basename(target)
+        if len(os.fsencode(base)) > limit:
+            raise OSError(errno.ENAMETOOLONG,
+                          os.strerror(errno.ENAMETOOLONG), target)
+        if os.path.isdir(target):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        if not (os.access(target, os.W_OK) if os.path.exists(target)
+                else os.access(folder, os.W_OK | os.X_OK)):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), target)
 
 
 def _given(args, flags) -> dict:
@@ -194,7 +225,8 @@ def cmd_spectrum(args) -> int:
         _refuse_unread(args, _CATALOG_FLAGS, "spectrum --input")
         # Interval data is periodized: its seam jump becomes one more
         # piece of the interpolant.
-        seq = grid_coefficients(_read_grid(args.input).values, args.n)
+        seq = grid_coefficients(formats.read_grid(args.input).values,
+                                args.n)
     _write_doc(formats.dumps_coefficients(seq), args.output)
     return 0
 
@@ -213,7 +245,7 @@ def cmd_filter(args) -> int:
     if args.method == "multiplier":
         raise DomainError("multiplier filtering needs coefficient JSON "
                           "input; grid CSV uses --method kernel")
-    grid = _read_grid(args.input)
+    grid = formats.read_grid(args.input)
     if args.domain is not None:
         grid = replace(grid, domain=check_interval(args.domain, "--domain"))
     if grid.domain is not None:
@@ -236,7 +268,7 @@ def cmd_classify(args) -> int:
         report = classify.certificate_report(cert)
     else:
         from .realfilter import grid_evaluator
-        grid = _read_grid(args.input)
+        grid = formats.read_grid(args.input)
         _check_work("--eps-schedule", args.eps_schedule, "the input grid",
                     grid.n)
         report = classify.classify_pointwise(
@@ -265,7 +297,7 @@ def cmd_comb(args) -> int:
         _refuse_unread(args, ("n",), "comb on coefficient JSON")
         seq, grid = formats.load_coefficients(args.input), None
     else:
-        seq, grid = None, _read_grid(args.input)
+        seq, grid = None, formats.read_grid(args.input)
     n_grid = args.grid if args.grid is not None else \
         (grid.n if grid is not None else 256)
     what = "--grid" if args.grid is not None else "the output grid"
@@ -341,6 +373,11 @@ def main(argv=None) -> int:
             f"circlecomb {args.command}: {category.__name__}: {message}",
             file=sys.stderr)
         try:
+            if args.output:
+                # Every grid is written with its `<output>.json` sidecar.
+                _check_output(args.output, sidecar=args.command in (
+                    "comb", "eval") or (args.command == "filter"
+                                        and not _is_json(args.input)))
             return _DISPATCH[args.command](args)
         except _USAGE_ERRORS as exc:
             print(f"circlecomb {args.command}: {exc}", file=sys.stderr)

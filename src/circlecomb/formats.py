@@ -15,6 +15,10 @@ refuse, so it streams to its file a chunk of rows at a time, and a
 failure meanwhile removes the partial file.
 
 Reads are strict; a malformed file raises `DomainError` naming it.
+Every file read holds at most `MAX_SIZE` grid rows or coefficient
+terms.  A file larger than the largest such file the writers emit is
+refused by its size before it is parsed, and one that parses to more
+rows or terms after.
 Files must be UTF-8.  A grid CSV is the header `theta,value,defined`
 and at least 2 rows of two decimal numbers and an integer (the grammar
 of `np.loadtxt`: no digit separators, no quotes, no comments; empty
@@ -49,6 +53,22 @@ _GRID_FIELDS = np.dtype([("theta", float), ("value", float),
 # from floats, `%s` cells are written beforehand.
 _TERM = '{"k": %d, "a": %.17g, "b": %.17g}'
 _NODE = '{"theta": %.17g, "verdict": %s, "value": %s, "residual": %s}'
+
+# Largest grid or coefficient count read from a file, and the largest
+# --n and --grid the command line accepts.  At 2^20 a job peaks at
+# 266 MB for coefficient JSON (`spectrum --n`), 83-94 MB on the grid
+# routes, and 305 MB (`comb --method filter-limit`) to 557 MB (`classify`
+# and its per-node report) with the default widths: under about 1 GB,
+# 8x above the largest sizes in use (131072 nodes, 32768 harmonics).
+MAX_SIZE = 1 << 20
+# A double with the longest `%.17g` cell (sign, 17 digits, point and a
+# three-digit exponent), and from it the longest grid row and coefficient
+# term (with its ", " separator) the writers emit.  The head of a
+# coefficient document, its generator tag included, gets _HEAD_BYTES.
+_LONGEST = -2.2250738585072014e-308
+_ROW_BYTES = len("%.17g,%.17g,1\n" % (_LONGEST, _LONGEST))
+_TERM_BYTES = len(_TERM % (MAX_SIZE, _LONGEST, _LONGEST) + ", ")
+_HEAD_BYTES = 4096
 
 # The Python types json.loads gives JSON numbers; bool is not among them.
 _NUMBER = (int, float)
@@ -117,6 +137,20 @@ def save_json(path, doc):
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> DomainError:
     return DomainError(f"{path}: not valid UTF-8 ({exc.reason})")
+
+
+def _check_bytes(path, what, per_entry, head):
+    """DomainError when the file at `path` is larger than the largest
+    file of MAX_SIZE `what` at `per_entry` bytes each after `head`."""
+    size, bound = os.stat(path).st_size, head + per_entry * MAX_SIZE
+    if size > bound:
+        raise DomainError(f"{path}: {size} bytes exceed {bound}, the largest "
+                          f"file of {MAX_SIZE} {what}")
+
+
+def _check_count(path, count, what):
+    if count > MAX_SIZE:
+        raise DomainError(f"{path}: {count} {what} exceed {MAX_SIZE}")
 
 
 def load_json(path):
@@ -193,7 +227,13 @@ def save_coefficients(path, seq: CoefficientSequence):
 
 
 def load_coefficients(path) -> CoefficientSequence:
-    return coefficients_from_doc(load_json(path))
+    """The coefficient JSON at `path`, held to MAX_SIZE terms."""
+    _check_bytes(path, "terms", _TERM_BYTES, _HEAD_BYTES)
+    doc = load_json(path)
+    terms = doc.get("terms") if isinstance(doc, dict) else None
+    if isinstance(terms, list):
+        _check_count(path, len(terms), "terms")
+    return coefficients_from_doc(doc)
 
 
 # -------------------------------------------------------------------- grids
@@ -207,27 +247,28 @@ def write_grid(path, grid: GridFunction):
     the singular points, the note and, on interval data, the domain.
 
     The body streams to the file a chunk of rows at a time.  If anything
-    raises meanwhile, the partial file is removed when it is a regular
-    file (a device such as /dev/null stays) and the error propagates."""
+    raises meanwhile, or the sidecar cannot be written, the CSV is
+    removed when it is a regular file (a device such as /dev/null stays)
+    and the error propagates."""
     # GridFunction holds finite values where defined and NaN elsewhere,
     # which `%.17g` writes as "nan", so the rows need no checks.
     from ._gridrows import grid_rows
     rows = grid_rows(grid.thetas(), grid.values, grid.defined)
+    meta = {"singular_points": [float(s) for s in grid.singular_points],
+            "note": grid.note}
+    if grid.domain is not None:
+        meta["domain"] = list(grid.domain)
     fh = open(path, "wb")
     try:
         with fh:
             fh.write(_GRID_HEADER.encode() + b"\n")
             for chunk in rows:
                 fh.write(chunk)
+        save_json(_sidecar(path), meta)
     except BaseException:
         if os.path.isfile(path):
             os.remove(path)
         raise
-    meta = {"singular_points": [float(s) for s in grid.singular_points],
-            "note": grid.note}
-    if grid.domain is not None:
-        meta["domain"] = list(grid.domain)
-    save_json(_sidecar(path), meta)
 
 
 def _finite_list(raw, what):
@@ -258,7 +299,9 @@ def _loose_flag(path, row, flag) -> DomainError:
 
 
 def read_grid(path):
-    """Load a grid CSV, and its sidecar when present."""
+    """Load a grid CSV, and its sidecar when present, held to MAX_SIZE
+    rows."""
+    _check_bytes(path, "rows", _ROW_BYTES, len(_GRID_HEADER) + 1)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().strip() != _GRID_HEADER:
@@ -277,6 +320,7 @@ def read_grid(path):
     n = rows.size
     if n < 2:
         raise DomainError(f"{path}: a grid needs at least 2 rows")
+    _check_count(path, n, "rows")
     flags = rows["defined"]
     loose = np.flatnonzero((flags != 0) & (flags != 1))
     if loose.size:

@@ -6,9 +6,11 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 
 import numpy as np
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 
 import circlecomb._gridrows
 import circlecomb._quad
-from circlecomb import catalog, classify, cli, disk, realfilter, spectrum
+from circlecomb import (catalog, classify, cli, disk, formats, realfilter,
+                        spectrum)
 from circlecomb.catalog import make
 from circlecomb.formats import (
     dumps_report,
@@ -355,6 +358,65 @@ class TestPipelines:
             (workdir / "det2.csv.json").read_bytes()
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**extra):
+    """This process's environment with no BLAS thread count, plus `extra`,
+    and the package on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return dict(env, **extra)
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread unless its caller chose a count."""
+
+    @pytest.mark.parametrize("code, extra, expected", [
+        ("import circlecomb.cli", {}, "1"),
+        ("import circlecomb.cli", {"OMP_NUM_THREADS": "2"}, None),
+        ("import numpy, circlecomb.cli", {}, None),
+    ], ids=["default", "caller-count", "numpy-loaded-first"])
+    def test_one_thread_only_when_nobody_chose(self, code, extra, expected):
+        p = subprocess.run(
+            [sys.executable, "-c", code + "; import os, json; print(json."
+             "dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"],
+            env=child_env(**extra), capture_output=True, text=True,
+            check=True)
+        assert json.loads(p.stdout) == expected
+
+    def test_import_keeps_no_second_core_busy(self):
+        # An idle pool's busy-wait would put CPU time well above wall time.
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import circlecomb.cli"],
+                       env=child_env(), check=True)
+        wall = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = (after.ru_utime + after.ru_stime
+               - before.ru_utime - before.ru_stime)
+        assert cpu <= wall + 0.05
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "{grid}"],
+        ["comb", "--input", "{grid}", "--method", "filter-limit"],
+    ], ids=["classify", "comb-filter-limit"])
+    def test_bytes_do_not_depend_on_the_thread_count(self, workdir, tmp_path,
+                                                     argv):
+        outputs = []
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            out = tmp_path / f"out{len(outputs)}"
+            p = subprocess.run(
+                [sys.executable, "-m", "circlecomb.cli",
+                 *[a.format(grid=workdir / "spiked256.csv") for a in argv],
+                 "--output", str(out)],
+                env=child_env(**extra), capture_output=True, check=True)
+            outputs.append((p.stderr, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
 class TestExitCodes:
     def test_usage_errors_exit_2(self, workdir):
         cases = [
@@ -523,24 +585,44 @@ class TestExitCodes:
     def test_input_grids_past_the_size_cap_exit_2(
             self, tmp_path, capsys, monkeypatch, argv):
         # The default schedules fit the work cap on any grid within
-        # _MAX_SIZE, so every input grid is held to it like --grid.
-        monkeypatch.setattr(cli, "_MAX_SIZE", 1024)
-        big = tmp_path / "cos4096.csv"
-        write_grid(big, GridFunction(np.cos(grid_nodes(4096)),
-                                     np.ones(4096, bool)))
+        # MAX_SIZE, so every input grid is held to it like --grid.  A few
+        # rows past a lowered cap pass the byte bound and fail the count.
+        monkeypatch.setattr(formats, "MAX_SIZE", 1024)
+        big = tmp_path / "cos1027.csv"
+        write_grid(big, GridFunction(np.cos(grid_nodes(1027)),
+                                     np.ones(1027, bool)))
         out = tmp_path / "out"
         assert cli.main([a.format(big=big) for a in argv]
                         + ["--output", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
-        assert "the input grid's node count must lie in [2, 1024], " \
-            "got 4096" in err[0]
+        assert err[0].endswith(f"{big}: 1027 rows exceed 1024")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "{seq}"],
+        ["comb", "--input", "{seq}", "--method", "fourier"],
+        ["comb", "--input", "{seq}", "--method", "disk"],
+        ["eval", "--input", "{seq}", "--rho", "0.5"],
+        ["filter", "--input", "{seq}", "--eps", "0.01"],
+    ], ids=["classify", "comb-fourier", "comb-disk", "eval", "filter"])
+    def test_coefficient_files_past_the_size_cap_exit_2(
+            self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(formats, "MAX_SIZE", 1024)
+        seq = tmp_path / "cos1027.json"
+        save_coefficients(seq, make("cosine", k=1).coefficients(1027))
+        out = tmp_path / "out"
+        assert cli.main([a.format(seq=seq) for a in argv]
+                        + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].endswith(f"{seq}: 1027 terms exceed 1024")
         assert not out.exists()
 
     def test_the_default_schedules_fit_on_the_largest_grids(self):
-        assert len(realfilter.DEFAULT_EPS_SCHEDULE) * cli._MAX_SIZE \
+        assert len(realfilter.DEFAULT_EPS_SCHEDULE) * formats.MAX_SIZE \
             <= cli._MAX_WORK
-        assert len(disk.DEFAULT_DELTA_SCHEDULE) * cli._MAX_SIZE \
+        assert len(disk.DEFAULT_DELTA_SCHEDULE) * formats.MAX_SIZE \
             <= cli._MAX_WORK
 
     @pytest.mark.parametrize("domain", ["5,1", "nan,1", "0,inf", "1,2,3",
@@ -765,6 +847,63 @@ class TestExitCodes:
             write_grid(os.devnull, GridFunction(np.zeros(4), np.ones(4, bool)))
         assert removed == []
 
+    def test_a_sidecar_that_cannot_be_written_removes_the_csv(
+            self, tmp_path):
+        # 252 characters fit the name limit; the sidecar's 257 do not.
+        path = tmp_path / ("a" * 252)
+        with pytest.raises(OSError, match="name too long"):
+            write_grid(path, GridFunction(np.zeros(4), np.ones(4, bool)))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--input", "{grid}"],
+        ["spectrum", "--catalog", "square_wave"],
+        ["filter", "--input", "{grid}", "--eps", "0.5"],
+        ["filter", "--input", "{seq}", "--eps", "0.5"],
+        ["classify", "--input", "{grid}"],
+        ["comb", "--input", "{grid}", "--method", "filter-limit"],
+        ["comb", "--input", "{seq}", "--method", "disk"],
+        ["eval", "--input", "{seq}", "--rho", "0.5"],
+    ], ids=["spectrum-input", "spectrum-catalog", "filter-grid",
+            "filter-json", "classify", "comb-filter-limit", "comb-disk",
+            "eval"])
+    @pytest.mark.parametrize("output", ["{tmp}/missing/out",
+                                        "{tmp}/" + "a" * 256,
+                                        "{tmp}/a_dir"],
+                             ids=["missing-dir", "name-too-long", "a-dir"])
+    def test_unwritable_outputs_exit_2_before_any_input_is_read(
+            self, workdir, tmp_path, capsys, monkeypatch, argv, output):
+        refuse_every_read(monkeypatch)
+        (tmp_path / "a_dir").mkdir()
+        fill = {"grid": workdir / "cos256.csv", "seq": workdir / "cosseq.json",
+                "tmp": tmp_path}
+        assert cli.main([a.format(**fill) for a in argv + ["--output", output]
+                         ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir"]
+
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--input", "{grid}", "--eps", "0.5"],
+        ["comb", "--input", "{seq}", "--method", "fourier"],
+        ["eval", "--input", "{seq}", "--rho", "0.5"],
+    ], ids=["filter-grid", "comb", "eval"])
+    def test_grid_outputs_check_their_sidecar_name_first(
+            self, workdir, tmp_path, capsys, monkeypatch, argv):
+        refuse_every_read(monkeypatch)
+        out = tmp_path / ("a" * 252)
+        fill = {"grid": workdir / "cos256.csv", "seq": workdir / "cosseq.json"}
+        assert cli.main([a.format(**fill) for a in argv]
+                        + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "File name too long" in err[0], err
+        assert f"{out}.json" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_writable_device_passes_the_output_check(self):
+        assert cli.main(["spectrum", "--catalog", "square_wave", "--n", "8",
+                         "--output", os.devnull]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["comb", "--input", "{seq}", "--method", "disk"],
         ["eval", "--input", "{seq}", "--rho-schedule", "0.9,0.99,0.999"],
@@ -781,6 +920,15 @@ class TestExitCodes:
                                  "truncation tail bound")
         assert ".py" not in err[0]
         assert str(os.path.dirname(cli.__file__)) not in err[0]
+
+
+def refuse_every_read(monkeypatch):
+    """Make every input read, and the catalog, fail the test if reached."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the route ran")
+    for name in ("read_grid", "load_coefficients"):
+        monkeypatch.setattr(formats, name, refuse)
+    monkeypatch.setattr(catalog, "make", refuse)
 
 
 # A valid value of each numeric catalog parameter.

@@ -16,12 +16,12 @@ import tempfile
 import numpy as np
 import pytest
 
-from circlecomb import cli
+from circlecomb import cli, formats
 from circlecomb.catalog import make
 from circlecomb.formats import save_coefficients, write_grid
 from circlecomb.spectrum import GridFunction, grid_nodes
 
-CAP = cli._MAX_SIZE
+CAP = formats.MAX_SIZE
 VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "0", "-1",
           # The longest schedule accepted, strictly decreasing, and one
           # far past it.
@@ -132,3 +132,24 @@ def test_the_walk_starts_from_every_subcommand():
     commands = next(a for a in cli._build_parser()._actions
                     if a.dest == "command").choices
     assert {b[0] for b in BASES} == set(commands)
+
+
+@pytest.mark.parametrize("base", BASES[1:], ids=map(" ".join, BASES[1:]))
+def test_inputs_past_the_byte_bound_exit_2_before_parsing(tmp_path, base):
+    # 100 bytes per entry lie past the longest row or term the writers
+    # emit; the sparse file takes no disk space and is never read.
+    sparse = {"grid": str(tmp_path / "g.csv"), "seq": str(tmp_path / "c.json")}
+    for path in sparse.values():
+        with open(path, "wb"):
+            pass
+        os.truncate(path, 100 * CAP)
+    argv = [a.format(**sparse) for a in base]
+    code, out, err = run(argv + ["--output", str(tmp_path / "out")])
+    assert code == 2 and out == ""
+    path = argv[argv.index("--input") + 1]
+    assert err.startswith(f"circlecomb {base[0]}: {path}: {100 * CAP} "
+                          "bytes exceed ")
+    assert err.endswith(f", the largest file of {CAP} "
+                        + ("terms\n" if path.endswith(".json") else "rows\n"))
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "g.csv"]
