@@ -227,7 +227,12 @@ def cmd_spectrum(args) -> int:
         # piece of the interpolant.
         seq = grid_coefficients(formats.read_grid(args.input).values,
                                 args.n)
-    _write_doc(formats.dumps_coefficients(seq), args.output)
+    if args.output:
+        formats.save_coefficients(args.output, seq)
+    else:
+        # The head and the tail are made before the first chunk goes out.
+        sys.stdout.writelines(formats.coefficient_chunks(seq))
+        sys.stdout.write("\n")
     return 0
 
 

@@ -7,18 +7,24 @@ module's own writer, since the stdlib dumper writes shortest-roundtrip
 floats.  The three large bodies are written straight from their data:
 the rows of a grid CSV by `_gridrows`, which gives the bytes of
 `%`-formatting with no Python object per cell, and the terms of a
-coefficient document and the nodes of a report each by one `%`-format
-over a flat tuple of cells; the small parts take the element-wise
-writer.  The JSON writers serialize before they open their file, so a
-refused value leaves no file behind.  A grid body holds no value to
-refuse, so it streams to its file a chunk of rows at a time, and a
-failure meanwhile removes the partial file.
+coefficient document (4096 at a time) and the nodes of a report each by
+one `%`-format over a flat tuple of cells; the small parts take the
+element-wise writer.  Whatever could be refused is serialized before a
+file is opened, so a refused value leaves no file behind.  Grid rows
+and coefficient terms hold no value to refuse, so they stream to their
+file a chunk at a time, and a failure meanwhile removes the partial
+file.
 
 Reads are strict; a malformed file raises `DomainError` naming it.
 Every file read holds at most `MAX_SIZE` grid rows or coefficient
 terms.  A file larger than the largest such file the writers emit is
 refused by its size before it is parsed, and one that parses to more
-rows or terms after.
+rows or terms after; a grid sidecar is held to the head of a
+coefficient document plus one longest cell per singular point.
+A coefficient document is parsed by the stdlib's JSON scanner with its
+terms read one at a time into two float columns.  A file that this
+parse does not accept, valid or not, is parsed whole and checked by
+`coefficients_from_doc`, so every refusal has that read's message.
 Files must be UTF-8.  A grid CSV is the header `theta,value,defined`
 and at least 2 rows of two decimal numbers and an integer (the grammar
 of `np.loadtxt`: no digit separators, no quotes, no comments; empty
@@ -36,6 +42,7 @@ import os
 import re
 import warnings
 from itertools import chain
+from json.decoder import WHITESPACE, JSONObject
 
 import numpy as np
 
@@ -56,10 +63,11 @@ _NODE = '{"theta": %.17g, "verdict": %s, "value": %s, "residual": %s}'
 
 # Largest grid or coefficient count read from a file, and the largest
 # --n and --grid the command line accepts.  At 2^20 a job peaks at
-# 266 MB for coefficient JSON (`spectrum --n`), 83-94 MB on the grid
-# routes, and 305 MB (`comb --method filter-limit`) to 557 MB (`classify`
-# and its per-node report) with the default widths: under about 1 GB,
-# 8x above the largest sizes in use (131072 nodes, 32768 harmonics).
+# 63 MB writing coefficient JSON (`spectrum --n`) and 112 MB reading it
+# (`eval`), 83-94 MB on the grid routes, and 305 MB (`comb --method
+# filter-limit`) to 557 MB (`classify` and its per-node report) with the
+# default widths: under about 1 GB, 8x above the largest sizes in use
+# (131072 nodes, 32768 harmonics).
 MAX_SIZE = 1 << 20
 # A double with the longest `%.17g` cell (sign, 17 digits, point and a
 # three-digit exponent), and from it the longest grid row and coefficient
@@ -69,6 +77,10 @@ _LONGEST = -2.2250738585072014e-308
 _ROW_BYTES = len("%.17g,%.17g,1\n" % (_LONGEST, _LONGEST))
 _TERM_BYTES = len(_TERM % (MAX_SIZE, _LONGEST, _LONGEST) + ", ")
 _HEAD_BYTES = 4096
+# A grid sidecar gets the head and one such cell per singular point.
+_CELL_BYTES = len("%.17g, " % _LONGEST)
+# Coefficient terms per chunk written.
+_CHUNK_TERMS = 4096
 
 # The Python types json.loads gives JSON numbers; bool is not among them.
 _NUMBER = (int, float)
@@ -167,17 +179,30 @@ def load_json(path):
 
 # ------------------------------------------------------------- coefficients
 
+def coefficient_chunks(seq: CoefficientSequence):
+    """The coefficient document of `seq` as text chunks: the head with
+    a0 and n, the terms k = 1..n 4096 at a time, and the tail with the
+    generator tag when present.  The head and the tail are made here,
+    so a tag that cannot be serialized raises before the first chunk.
+    The sequence holds finite floats only, so no term needs a check."""
+    head = '{"a0": %.17g, "n": %d, "terms": [' % (seq.a0, seq.n)
+    tail = "]}" if seq.generator is None else \
+        '], "generator": ' + dumps_json(seq.generator) + "}"
+    return chain((head,), _term_chunks(seq), (tail,))
+
+
+def _term_chunks(seq):
+    for start in range(0, seq.n, _CHUNK_TERMS):
+        a = seq.a[start:start + _CHUNK_TERMS].tolist()
+        b = seq.b[start:start + _CHUNK_TERMS].tolist()
+        cells = zip(range(start + 1, start + 1 + len(a)), a, b)
+        yield (", " if start else "") + ", ".join([_TERM] * len(a)) \
+            % tuple(chain.from_iterable(cells))
+
+
 def dumps_coefficients(seq: CoefficientSequence) -> str:
-    """The coefficient document of `seq`: a0, n, the terms k = 1..n and
-    the generator tag when present.  The sequence holds finite floats
-    only, so no cell needs a check."""
-    cells = zip(range(1, seq.n + 1), seq.a.tolist(), seq.b.tolist())
-    text = ('{"a0": %.17g, "n": %d, "terms": [' % (seq.a0, seq.n)
-            + ", ".join([_TERM] * seq.n) % tuple(chain.from_iterable(cells))
-            + "]")
-    if seq.generator is not None:
-        text += ', "generator": ' + dumps_json(seq.generator)
-    return text + "}"
+    """The coefficient document of `seq` as one string."""
+    return "".join(coefficient_chunks(seq))
 
 
 def coefficients_from_doc(doc) -> CoefficientSequence:
@@ -223,12 +248,105 @@ def coefficients_from_doc(doc) -> CoefficientSequence:
 
 
 def save_coefficients(path, seq: CoefficientSequence):
-    save_text(path, dumps_coefficients(seq))
+    """Stream the document of `seq` to `path` a chunk at a time; a
+    failure removes the partial file as `write_grid` does."""
+    chunks = chain(coefficient_chunks(seq), ("\n",))
+    _write_chunks(path, (chunk.encode() for chunk in chunks))
+
+
+# The stdlib's scanner, in C where built, and its whitespace rule.
+_SCAN = json.JSONDecoder().scan_once
+_WS = WHITESPACE.match
+# What the streamed parse raises on a file it does not accept: a file
+# that cannot be mapped (empty, or not a regular file), bytes that are
+# not UTF-8 and the scanner's own errors (ValueError, StopIteration
+# where no value starts, RecursionError), a missing key or a term that
+# is no object, a number past the float range, a non-finite coefficient.
+_NOT_PLAIN = (OSError, ValueError, StopIteration, RecursionError,
+              LookupError, TypeError, OverflowError, DomainError)
+
+
+def _scan_root_value(s, end):
+    """One value of the root object: an array as two columns of terms,
+    anything else by the stdlib's scanner."""
+    if s.startswith("[", end):
+        return _term_columns(s, end + 1)
+    return _SCAN(s, end)
+
+
+def _term_columns(s, end):
+    """The terms of the array opened just before `s[end]` as a pair of
+    columns (a, b) and the index past the array, read one term at a
+    time.  Raises on anything not a dense list of at most MAX_SIZE
+    terms that coefficients_from_doc would accept."""
+    from array import array
+    a, b = array("d"), array("d")
+    put_a, put_b = a.append, b.append
+    end = _WS(s, end).end()
+    if s.startswith("]", end):
+        return (a, b), end + 1
+    for i in range(1, MAX_SIZE + 1):
+        term, end = _SCAN(s, end)
+        # A term that is no dict raises TypeError here.
+        k, ak, bk = term["k"], term["a"], term["b"]
+        if k != i or type(k) is not int or type(ak) not in _NUMBER \
+                or type(bk) not in _NUMBER:
+            raise ValueError(f"term {i - 1} is not plain")
+        put_a(ak)           # OverflowError beyond the float range
+        put_b(bk)
+        if s.startswith(", {", end):    # the writers' separator
+            end += 2
+            continue
+        end = _WS(s, end).end()
+        if s.startswith("]", end):
+            return (a, b), end + 1
+        if not s.startswith(",", end):
+            raise ValueError("expected ','")
+        end = _WS(s, end + 1).end()
+    raise ValueError(f"more than {MAX_SIZE} terms")
+
+
+def _streamed_coefficients(path):
+    """The sequence in the coefficient JSON at `path`, parsed with its
+    terms read straight into two columns, or None for any file this
+    parse does not accept: a valid document it cannot read plainly, or
+    one that `load_json` and `coefficients_from_doc` refuse, which then
+    give their message."""
+    # Loaded here, as the routes that read no coefficients never need it.
+    import mmap
+    try:
+        with open(path, "rb") as fh, \
+                mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            # The text only: the mapped bytes are not copied.
+            text = str(mm, "utf-8")
+        end = _WS(text, 0).end()
+        if not text.startswith("{", end):
+            return None
+        doc, end = JSONObject((text, end + 1), True, _scan_root_value,
+                              None, None)
+        if _WS(text, end).end() != len(text):
+            return None
+        del text            # before the sequence copies the columns
+        a0, n, terms = doc["a0"], doc["n"], doc["terms"]
+        gen = doc.get("generator")
+        if type(n) is not int or type(a0) not in _NUMBER \
+                or type(terms) is not tuple or len(terms[0]) != n \
+                or not (gen is None or isinstance(gen, dict)):
+            return None
+        return CoefficientSequence(a0, np.frombuffer(terms[0]),
+                                   np.frombuffer(terms[1]), generator=gen)
+    except _NOT_PLAIN:
+        return None
 
 
 def load_coefficients(path) -> CoefficientSequence:
-    """The coefficient JSON at `path`, held to MAX_SIZE terms."""
+    """The coefficient JSON at `path`, held to MAX_SIZE terms.  A file
+    the streamed parse does not accept is read whole by `load_json`, so
+    every refusal keeps the message and the order of that read."""
     _check_bytes(path, "terms", _TERM_BYTES, _HEAD_BYTES)
+    seq = _streamed_coefficients(path)
+    if seq is not None:
+        return seq
     doc = load_json(path)
     terms = doc.get("terms") if isinstance(doc, dict) else None
     if isinstance(terms, list):
@@ -258,13 +376,21 @@ def write_grid(path, grid: GridFunction):
             "note": grid.note}
     if grid.domain is not None:
         meta["domain"] = list(grid.domain)
+    _write_chunks(path, chain((_GRID_HEADER.encode() + b"\n",), rows),
+                  lambda: save_json(_sidecar(path), meta))
+
+
+def _write_chunks(path, chunks, then=None):
+    """Write the byte strings `chunks` to `path`, then call `then()`
+    when given.  If anything raises meanwhile, the file is removed when
+    it is a regular file (a device such as /dev/null stays) and the
+    error propagates."""
     fh = open(path, "wb")
     try:
         with fh:
-            fh.write(_GRID_HEADER.encode() + b"\n")
-            for chunk in rows:
-                fh.write(chunk)
-        save_json(_sidecar(path), meta)
+            fh.writelines(chunks)
+        if then is not None:
+            then()
     except BaseException:
         if os.path.isfile(path):
             os.remove(path)
@@ -339,6 +465,7 @@ def read_grid(path):
     domain = None
     side = _sidecar(path)
     if os.path.exists(side):
+        _check_bytes(side, "singular points", _CELL_BYTES, _HEAD_BYTES)
         meta = load_json(side)
         if not isinstance(meta, dict):
             raise DomainError(f"{side}: metadata must be a JSON object")

@@ -52,7 +52,7 @@ BASES = [
 ]
 
 # Runs the size cap admits but that would cost this test as much as the
-# rest together: 2^20 coefficient terms in JSON (266 MB, about 2 s) and
+# rest together: 2^20 coefficient terms in JSON (63 MB, about 1.5 s) and
 # shrinking windows on 2^20 nodes (305 MB, about 2 s).  One past the cap
 # still runs on both.
 COSTLY = {("spectrum", "--n", str(CAP)), ("filter-limit", "--grid", str(CAP))}
@@ -153,3 +153,29 @@ def test_inputs_past_the_byte_bound_exit_2_before_parsing(tmp_path, base):
                         + ("terms\n" if path.endswith(".json") else "rows\n"))
     assert err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["c.json", "g.csv"]
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_a_sidecar_past_the_byte_bound_exits_2_before_parsing(
+        tmp_path, inputs, excess):
+    # The head of a coefficient document and one longest `%.17g` cell
+    # with its ", " per singular point, for 2^20 of them.  A sidecar at
+    # the bound is parsed (and this empty one refused as JSON); one byte
+    # more is refused by its size.
+    bound = 4096 + CAP * len("%.17g, " % -2.2250738585072014e-308)
+    grid = tmp_path / "g.csv"
+    grid.write_bytes(open(inputs["grid"], "rb").read())
+    side = f"{grid}.json"
+    with open(side, "wb"):
+        pass
+    os.truncate(side, bound + excess)
+    code, out, err = run(["filter", "--input", str(grid), "--eps", "0.5",
+                          "--output", str(tmp_path / "out.csv")])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    if excess:
+        assert err == (f"circlecomb filter: {side}: {bound + 1} bytes "
+                       f"exceed {bound}, the largest file of {CAP} "
+                       "singular points\n")
+    else:
+        assert err.startswith(f"circlecomb filter: {side}: not valid JSON")
+    assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.csv.json"]

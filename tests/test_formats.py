@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circlecomb import formats
 from circlecomb.catalog import make
 from circlecomb.classify import (
     COMBED,
@@ -28,6 +30,7 @@ from circlecomb.classify import (
 )
 from circlecomb.errors import DomainError
 from circlecomb.formats import (
+    coefficient_chunks,
     coefficients_from_doc,
     dumps_coefficients,
     dumps_json,
@@ -42,6 +45,7 @@ from circlecomb.formats import (
 from circlecomb.realfilter import GridFunction
 from circlecomb.spectrum import CoefficientSequence, grid_nodes
 from conftest import reference_grid_csv, reference_json, reference_read_grid_rows
+from test_cli import malformed_coefficient_json
 
 # Floats the formats must carry bit for bit: signed zeros, subnormals,
 # the ends of the double range and two that need all 17 digits.
@@ -66,6 +70,75 @@ def drawn_grid(seed, n, hole_ratio):
     values[:k] = SPECIAL_FLOATS[:k]
     defined = rng.random(n) >= hole_ratio
     return GridFunction(np.where(defined, values, np.nan), defined)
+
+
+def raised(run) -> str:
+    """The message of what `run()` raises: the interpreter's own text,
+    which differs between Python versions."""
+    try:
+        run()
+    except Exception as exc:
+        return str(exc)
+    raise AssertionError("nothing raised")
+
+
+GOOD_TERM = {"k": 1, "a": 1.0, "b": 2.0}
+
+
+def one_term(term, **root):
+    return {"a0": 0.0, "n": 1, "terms": [term], **root}
+
+
+def not_subscriptable(term) -> str:
+    return "malformed term 0: " + raised(lambda: term["k"])
+
+
+# Every refusal of a parsed coefficient document, with its exact text.
+REFUSED = {
+    "not-an-object": ("not a dict",
+                      "coefficient document must be a JSON object"),
+    "missing-key": ({}, "malformed coefficient document: missing 'a0'"),
+    "n-not-an-integer": ({"a0": 0.0, "n": 1.0, "terms": [GOOD_TERM]},
+                         "malformed coefficient document: n must be an "
+                         "integer and a0 a number"),
+    "a0-a-string": ({"a0": "0", "n": 1, "terms": [GOOD_TERM]},
+                    "malformed coefficient document: n must be an "
+                    "integer and a0 a number"),
+    "count-above": ({"a0": 0.0, "n": 2, "terms": [GOOD_TERM]},
+                    "expected 2 terms, found 1"),
+    "count-below": ({"a0": 0.0, "n": 1, "terms": [GOOD_TERM] * 2},
+                    "expected 1 terms, found 2"),
+    "terms-not-a-list": ({"a0": 0.0, "n": 1, "terms": {"k": 1}},
+                         "expected 1 terms, found none"),
+    "k-not-one": (one_term({"k": 2, "a": 0.0, "b": 0.0}),
+                  "terms must be dense over k = 1..1; term 0 has k=2"),
+    "k-out-of-order": ({"a0": 0.0, "n": 3, "terms": [
+        GOOD_TERM, {"k": 3, "a": 0.0, "b": 0.0},
+        {"k": 2, "a": 0.0, "b": 0.0}]},
+        "terms must be dense over k = 1..3; term 1 has k=3"),
+    "k-a-float": (one_term({"k": 1.0, "a": 0.0, "b": 0.0}),
+                  "malformed term 0: k must be an integer, a and b numbers"),
+    "a-a-bool": (one_term({"k": 1, "a": True, "b": 0.0}),
+                 "malformed term 0: k must be an integer, a and b numbers"),
+    "b-null": (one_term({"k": 1, "a": 0.0, "b": None}),
+               "malformed term 0: k must be an integer, a and b numbers"),
+    "missing-b": (one_term({"k": 1, "a": 0.0}), "malformed term 0: 'b'"),
+    "term-a-list": (one_term([1]), not_subscriptable([1])),
+    "term-a-string": (one_term("x"), not_subscriptable("x")),
+    "term-null": (one_term(None), not_subscriptable(None)),
+    "a0-nan": ({"a0": math.nan, "n": 1, "terms": [GOOD_TERM]},
+               "coefficients must be finite"),
+    "b-infinite": (one_term({"k": 1, "a": 0.0, "b": -math.inf}),
+                   "coefficients must be finite"),
+    "a-past-the-float-range": (one_term({"k": 1, "a": 10 ** 400, "b": 0}),
+                               "coefficients must be finite"),
+    "a0-past-the-float-range": ({"a0": -10 ** 309, "n": 0, "terms": []},
+                                "coefficients must be finite"),
+    "generator-a-number": (one_term(GOOD_TERM, generator=5),
+                           "generator tag must be an object"),
+    "generator-a-list": (one_term(GOOD_TERM, generator=[]),
+                         "generator tag must be an object"),
+}
 
 
 class TestJsonWriter:
@@ -162,22 +235,193 @@ class TestCoefficientDocuments:
         save_coefficients(p2, load_coefficients(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_malformed_documents_are_rejected(self):
-        good = json.loads(dumps_coefficients(
-            CoefficientSequence(0.0, [1.0], [2.0])))
-        bad_docs = [
-            "not a dict",
-            {},
-            {"a0": 0.0, "n": 2, "terms": good["terms"]},
-            {"a0": 0.0, "n": 1,
-             "terms": [{"k": 2, "a": 0.0, "b": 0.0}]},
-            {"a0": 0.0, "n": 1, "terms": [{"k": 1, "a": 0.0}]},
-            {"a0": math.nan, "n": 1, "terms": good["terms"]},
-            {"a0": 0.0, "n": 1, "terms": good["terms"], "generator": 5},
-        ]
-        for doc in bad_docs:
-            with pytest.raises(DomainError):
-                coefficients_from_doc(doc)
+    def test_malformed_documents_are_rejected(self, tmp_path):
+        # The same text from the document and from its file, whichever
+        # way the file is parsed.
+        path = tmp_path / "c.json"
+        for case, (doc, message) in REFUSED.items():
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            for read in (lambda: coefficients_from_doc(doc),
+                         lambda: load_coefficients(path)):
+                with pytest.raises(DomainError) as info:
+                    read()
+                assert str(info.value) == message, case
+
+    @pytest.mark.parametrize("text", [
+        '{"a0": 0.0 "n": 1, "terms": [{"k": 1, "a": 1, "b": 2}]}',
+        '{"a0": 0.0, "n": 1, "terms": [{"k": 1, "a": 1, "b": 2}],}',
+        '{"a0": 0.0, "n": 2, "terms": [{"k": 1, "a": 1, "b": 2} '
+        '{"k": 2, "a": 1, "b": 2}]}',
+        '{"a0": 0.0, "n": 2, "terms": [{"k": 1, "a": 1, "b": 2}; '
+        '{"k": 2, "a": 1, "b": 2}]}',
+        '{"a0": 0.0, "n": 1, "terms": [{"k": 1, "a": 1, "b": 2},]}',
+        '{"a0": 0.0, "n": 1, "terms": [{"k": 1, "a": 1, "b": 2}',
+        '{"a0": 0.0, "n": 0, "terms": []} []',
+        "[" * 5000,
+        '{"a0": 0.0, "n": 1, "terms": [' + "[" * 5000,
+    ], ids=["root-missing-comma", "root-trailing-comma",
+            "terms-missing-comma", "terms-semicolon", "terms-trailing-comma",
+            "truncated", "extra-data", "nested-root", "nested-term"])
+    def test_unparseable_files_keep_the_parser_message(self, tmp_path,
+                                                       text):
+        path = tmp_path / "c.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DomainError) as info:
+            load_coefficients(path)
+        assert str(info.value) == \
+            f"{path}: not valid JSON: {raised(lambda: json.loads(text))}"
+
+
+# JSON whitespace, and number literals besides those `repr` writes: a
+# signed integer zero, exponents in either case, and values that round
+# to infinity or to zero.
+json_space = st.text(alphabet=" \t\n\r", max_size=2)
+json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["-0", "-0.0", "1E5", "2.5e-3", "1e308", "-1e308",
+                     "5e-324", "1e400", "-1e-400", "1" + "0" * 309]))
+
+
+@st.composite
+def valid_coefficient_json(draw):
+    """Coefficient JSON the package does not write but must read alike:
+    any whitespace, any key order, a duplicate "terms" key (the last one
+    counts), extra keys, integer and special numbers, and a generator
+    tag."""
+    def obj(pairs):
+        pairs = draw(st.permutations(pairs))
+        return "{" + ",".join(f"{draw(json_space)}{json.dumps(key)}"
+                              f"{draw(json_space)}:{draw(json_space)}"
+                              f"{value}{draw(json_space)}"
+                              for key, value in pairs) + "}"
+
+    def array(items):
+        return "[" + draw(json_space) + ",".join(
+            f"{draw(json_space)}{item}{draw(json_space)}"
+            for item in items) + "]"
+
+    n = draw(st.integers(0, 5))
+    terms = [obj([("k", str(k)), ("a", draw(json_numbers)),
+                  ("b", draw(json_numbers))]
+                 + draw(st.sampled_from([[], [("note", '"}, {"')]])))
+             for k in range(1, n + 1)]
+    root = [("a0", draw(json_numbers)), ("n", str(n)),
+            ("terms", array(terms))]
+    if draw(st.booleans()):
+        root.append(("generator", '{"name": "step", "params": '
+                     '{"theta0": 0.5, "xs": [1, 2]}}'))
+    text = obj(root)
+    if draw(st.booleans()):
+        # A "terms" key before the one that counts.
+        early = draw(st.sampled_from(['[]', '[1, 2]', '{"k": 1}',
+                                      '[{"k": 1, "a": 0, "b": 0}]']))
+        text = '{"terms": ' + early + ", " + text[1:]
+    return draw(json_space) + text + draw(json_space)
+
+
+def read_outcome(read):
+    """What `read()` gives, bitwise: the sequence's floats and tag, or
+    the DomainError's message."""
+    try:
+        seq = read()
+    except DomainError as exc:
+        return str(exc)
+    return (np.float64(seq.a0).tobytes(), seq.a.tobytes(), seq.b.tobytes(),
+            seq.generator)
+
+
+class TestCoefficientReads:
+    """`load_coefficients` streams the terms of a document, and gives
+    what the whole-document read gives on every file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=valid_coefficient_json())
+    @example(text='{"a0": -0.0, "n": 1, "terms": [{"k": 1, "a": -0, '
+                  '"b": 1e308}]}')
+    def test_any_document_reads_as_the_whole_document(self, text):
+        self.check_alike(text.encode())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=malformed_coefficient_json())
+    def test_any_malformed_file_reads_as_the_whole_document(self, data):
+        self.check_alike(data)
+
+    @staticmethod
+    def check_alike(data: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert read_outcome(lambda: load_coefficients(path)) == \
+                read_outcome(lambda: coefficients_from_doc(load_json(path)))
+
+    @pytest.mark.parametrize("spacing", ["written", "spread"])
+    def test_plain_documents_never_take_the_whole_document_read(
+            self, tmp_path, monkeypatch, spacing):
+        seq = make("step", theta0=0.5).coefficients(5000)
+        text = dumps_coefficients(seq)
+        if spacing == "spread":
+            text = text.replace(", ", " ,\n\t").replace("{", "\r\n{ ")
+        path = tmp_path / "c.json"
+        path.write_text(text, encoding="utf-8")
+
+        def refused(path):
+            raise AssertionError("read whole")
+
+        monkeypatch.setattr(formats, "load_json", refused)
+        assert read_outcome(lambda: load_coefficients(path)) == \
+            read_outcome(lambda: coefficients_from_doc(json.loads(text)))
+
+    def test_the_size_cap_holds_to_the_term(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_SIZE", 8)
+        path = tmp_path / "c.json"
+        save_coefficients(path, make("sawtooth").coefficients(8))
+        assert load_coefficients(path).n == 8
+        save_coefficients(path, make("sawtooth").coefficients(9))
+        with pytest.raises(DomainError) as info:
+            load_coefficients(path)
+        assert str(info.value) == f"{path}: 9 terms exceed 8"
+
+
+class TestCoefficientWrites:
+    """`save_coefficients` streams the document a chunk at a time and
+    leaves no partial file."""
+
+    def test_a_refused_generator_raises_before_any_chunk(self, tmp_path):
+        seq = CoefficientSequence(0.0, [1.0], [2.0],
+                                  generator={"x": math.nan})
+        with pytest.raises(DomainError, match="NaN"):
+            coefficient_chunks(seq)
+        path = tmp_path / "c.json"
+        with pytest.raises(DomainError, match="NaN"):
+            save_coefficients(path, seq)
+        assert not path.exists()
+
+    @pytest.fixture
+    def failing_midway(self, monkeypatch):
+        """The term chunks fail after the first of them."""
+        real = formats._term_chunks
+
+        def first_then_fail(seq):
+            chunks = real(seq)
+            yield next(chunks)
+            raise OSError("no space left")
+
+        monkeypatch.setattr(formats, "_term_chunks", first_then_fail)
+        return make("square_wave").coefficients(3 * 4096)
+
+    def test_a_failure_midway_removes_the_file(self, tmp_path,
+                                               failing_midway):
+        path = tmp_path / "c.json"
+        with pytest.raises(OSError, match="no space left"):
+            save_coefficients(path, failing_midway)
+        assert not path.exists()
+
+    def test_a_failure_midway_leaves_a_device(self, failing_midway):
+        with pytest.raises(OSError, match="no space left"):
+            save_coefficients(os.devnull, failing_midway)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestGridFiles:
@@ -412,6 +656,8 @@ class TestColumnWiseFormats:
            tagged=st.booleans())
     @example(seed=0, n=0, tagged=False)
     @example(seed=1, n=len(SPECIAL_FLOATS), tagged=True)
+    @example(seed=2, n=4096, tagged=False)       # one whole chunk
+    @example(seed=3, n=3 * 4096 + 5, tagged=True)
     def test_coefficient_json_matches_the_element_reference(self, seed, n,
                                                             tagged):
         rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
-"""Traced peaks of the grid routes at 2^20 nodes, per node, and of the
-schedule routes at 65536 nodes x 32 entries, per entry and node.
+"""Traced peaks of the grid routes at 2^20 nodes, per node, of the
+schedule routes at 65536 nodes x 32 entries, per entry and node, and of
+the coefficient JSON reader and writer at 65536 terms.
 
 Each bound counts the arrays over the nodes that the function holds at
 once, 8 bytes per node for each float array and 16 for each complex
@@ -14,11 +15,12 @@ import pytest
 from circlecomb.classify import (classify_pointwise, comb_by_filter_limit,
                                  comb_from_coefficients)
 from circlecomb.disk import boundary_value_grid
-from circlecomb.formats import write_grid
+from circlecomb.formats import load_coefficients, save_coefficients, write_grid
 from circlecomb.realfilter import grid_evaluator, kernel_filter_grid
 from circlecomb.spectrum import CoefficientSequence, GridFunction, grid_nodes
 
 N = 1 << 20
+TERMS = 1 << 16
 # The schedule routes: NODES x ENTRIES schedule entries.
 NODES, ENTRIES = 1 << 16, 32
 WIDTHS = tuple(0.2 * 0.9 ** j for j in range(ENTRIES))
@@ -124,3 +126,40 @@ def test_boundary_value_grid_holds_three_arrays_per_entry():
     peak = peak_per_node(lambda: boundary_value_grid(seq, NODES, deltas),
                          NODES * ENTRIES)
     assert peak < 26.0, f"boundary_value_grid traced peak {peak:.1f} B"
+
+
+@pytest.fixture(scope="module")
+def coefficient_file(tmp_path_factory):
+    rng = np.random.default_rng(11)
+    seq = CoefficientSequence(0.5, rng.standard_normal(TERMS),
+                              rng.standard_normal(TERMS),
+                              generator={"name": "step",
+                                         "params": {"theta0": 0.5}})
+    path = tmp_path_factory.mktemp("coefficients") / "c.json"
+    save_coefficients(path, seq)
+    return seq, path
+
+
+def test_load_coefficients_holds_the_text_and_two_columns(coefficient_file):
+    # The decoded text (1 B per byte of file), and the two columns with
+    # their growth slack and the copy made when one grows (26 B/term);
+    # after the text is freed, the columns and the sequence's own copies
+    # (33 B/term).  The whole-document parse held about 290 B/term.
+    _, path = coefficient_file
+    peak = peak_per_node(lambda: load_coefficients(path), TERMS)
+    beyond = peak - path.stat().st_size / TERMS
+    assert beyond <= 40.0, f"load_coefficients traced {beyond:.1f} B/term " \
+        "beyond the file"
+
+
+def test_save_coefficients_holds_one_chunk(coefficient_file, tmp_path):
+    # One chunk of 4096 terms at a time: its cells as Python floats and
+    # ints, their flat tuple, the format string, the text and its bytes,
+    # under 320 B per term of the chunk at any length; the head and the
+    # tail are a few dozen bytes.  Writing the document whole held about
+    # 200 B per term of the sequence.
+    seq, _ = coefficient_file
+    peak = peak_per_node(lambda: save_coefficients(tmp_path / "c.json", seq),
+                         4096)
+    assert peak <= 320.0, f"save_coefficients traced {peak:.1f} B per " \
+        "chunk term"
