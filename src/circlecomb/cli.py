@@ -204,12 +204,13 @@ def _is_json(path: str) -> bool:
     return str(path).lower().endswith(".json")
 
 
-def _write_doc(text, path):
-    """A serialized document to `path`, or to stdout without one."""
+def _write_doc(chunks, path):
+    """Serialized text `chunks` to `path`, or to stdout without one."""
     if path:
-        formats.save_text(path, text)
+        formats.save_text(path, chunks)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
 
 
 def cmd_spectrum(args) -> int:
@@ -227,12 +228,8 @@ def cmd_spectrum(args) -> int:
         # piece of the interpolant.
         seq = grid_coefficients(formats.read_grid(args.input).values,
                                 args.n)
-    if args.output:
-        formats.save_coefficients(args.output, seq)
-    else:
-        # The head and the tail are made before the first chunk goes out.
-        sys.stdout.writelines(formats.coefficient_chunks(seq))
-        sys.stdout.write("\n")
+    # The head and the tail are made before the first chunk goes out.
+    _write_doc(formats.coefficient_chunks(seq), args.output)
     return 0
 
 
@@ -279,7 +276,7 @@ def cmd_classify(args) -> int:
         report = classify.classify_pointwise(
             grid_evaluator(grid), n_grid=grid.n,
             **_given(args, ("eps_schedule", "tol")))
-    _write_doc(formats.dumps_report(report), args.output)
+    _write_doc((formats.dumps_report(report),), args.output)
     return 0
 
 

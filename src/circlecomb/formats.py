@@ -12,8 +12,8 @@ one `%`-format over a flat tuple of cells; the small parts take the
 element-wise writer.  Whatever could be refused is serialized before a
 file is opened, so a refused value leaves no file behind.  Grid rows
 and coefficient terms hold no value to refuse, so they stream to their
-file a chunk at a time, and a failure meanwhile removes the partial
-file.
+file a chunk at a time.  Every file is written by one writer, and a
+failure while writing removes the partial file.
 
 Reads are strict; a malformed file raises `DomainError` naming it.
 Every file read holds at most `MAX_SIZE` grid rows or coefficient
@@ -21,9 +21,9 @@ terms.  A file larger than the largest such file the writers emit is
 refused by its size before it is parsed, and one that parses to more
 rows or terms after; a grid sidecar is held to the head of a
 coefficient document plus one longest cell per singular point.
-A coefficient document is parsed by the stdlib's JSON scanner with its
-terms read one at a time into two float columns.  A file that this
-parse does not accept, valid or not, is parsed whole and checked by
+A coefficient document is parsed by one `json.loads` whose object hook
+moves each term into two float columns as it is parsed.  A file that
+this parse does not accept, valid or not, is parsed whole and checked by
 `coefficients_from_doc`, so every refusal has that read's message.
 Files must be UTF-8.  A grid CSV is the header `theta,value,defined`
 and at least 2 rows of two decimal numbers and an integer (the grammar
@@ -42,7 +42,6 @@ import os
 import re
 import warnings
 from itertools import chain
-from json.decoder import WHITESPACE, JSONObject
 
 import numpy as np
 
@@ -137,14 +136,15 @@ def dumps_json(obj) -> str:
     return "".join(out)
 
 
-def save_text(path, text: str):
-    """Write serialized `text`, so a refused value leaves no file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+def save_text(path, chunks):
+    """Stream the serialized text `chunks` and a newline to `path`; a
+    failure removes the partial file as `write_grid` does.  The chunks
+    are made beforehand, so a refused value leaves no file."""
+    _write_chunks(path, (chunk.encode() for chunk in chain(chunks, ("\n",))))
 
 
 def save_json(path, doc):
-    save_text(path, dumps_json(doc))
+    save_text(path, (dumps_json(doc),))
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> DomainError:
@@ -248,103 +248,70 @@ def coefficients_from_doc(doc) -> CoefficientSequence:
 
 
 def save_coefficients(path, seq: CoefficientSequence):
-    """Stream the document of `seq` to `path` a chunk at a time; a
-    failure removes the partial file as `write_grid` does."""
-    chunks = chain(coefficient_chunks(seq), ("\n",))
-    _write_chunks(path, (chunk.encode() for chunk in chunks))
+    """Stream the document of `seq` to `path` a chunk at a time."""
+    save_text(path, coefficient_chunks(seq))
 
 
-# The stdlib's scanner, in C where built, and its whitespace rule.
-_SCAN = json.JSONDecoder().scan_once
-_WS = WHITESPACE.match
-# What the streamed parse raises on a file it does not accept: a file
-# that cannot be mapped (empty, or not a regular file), bytes that are
-# not UTF-8 and the scanner's own errors (ValueError, StopIteration
-# where no value starts, RecursionError), a missing key or a term that
-# is no object, a number past the float range, a non-finite coefficient.
-_NOT_PLAIN = (OSError, ValueError, StopIteration, RecursionError,
-              LookupError, TypeError, OverflowError, DomainError)
+# What the object hook returns in place of a term it moved to the
+# columns; never None, which a JSON null term would pass for.
+_IN_COLUMNS = object()
 
 
-def _scan_root_value(s, end):
-    """One value of the root object: an array as two columns of terms,
-    anything else by the stdlib's scanner."""
-    if s.startswith("[", end):
-        return _term_columns(s, end + 1)
-    return _SCAN(s, end)
-
-
-def _term_columns(s, end):
-    """The terms of the array opened just before `s[end]` as a pair of
-    columns (a, b) and the index past the array, read one term at a
-    time.  Raises on anything not a dense list of at most MAX_SIZE
-    terms that coefficients_from_doc would accept."""
+def _columns_read(path):
+    """The sequence in the coefficient JSON at `path`, parsed with an
+    object hook that moves each plain term into two float columns, or
+    None for any file this parse does not accept: a valid document it
+    cannot read plainly, or one that `load_json` and
+    `coefficients_from_doc` refuse, which then give their message."""
+    # Loaded here, as the routes that read no coefficients never need them.
+    import mmap
     from array import array
     a, b = array("d"), array("d")
-    put_a, put_b = a.append, b.append
-    end = _WS(s, end).end()
-    if s.startswith("]", end):
-        return (a, b), end + 1
-    for i in range(1, MAX_SIZE + 1):
-        term, end = _SCAN(s, end)
-        # A term that is no dict raises TypeError here.
-        k, ak, bk = term["k"], term["a"], term["b"]
-        if k != i or type(k) is not int or type(ak) not in _NUMBER \
-                or type(bk) not in _NUMBER:
-            raise ValueError(f"term {i - 1} is not plain")
-        put_a(ak)           # OverflowError beyond the float range
-        put_b(bk)
-        if s.startswith(", {", end):    # the writers' separator
-            end += 2
-            continue
-        end = _WS(s, end).end()
-        if s.startswith("]", end):
-            return (a, b), end + 1
-        if not s.startswith(",", end):
-            raise ValueError("expected ','")
-        end = _WS(s, end + 1).end()
-    raise ValueError(f"more than {MAX_SIZE} terms")
 
+    def to_columns(obj):
+        k, ak, bk = obj.get("k"), obj.get("a"), obj.get("b")
+        if type(k) is not int or k != len(a) + 1 or k > MAX_SIZE \
+                or type(ak) not in _NUMBER or type(bk) not in _NUMBER:
+            return obj
+        # An integer past the float range raises OverflowError, which
+        # ends the parse; the whole-document read then decides.
+        a.append(ak)
+        b.append(bk)
+        return _IN_COLUMNS
 
-def _streamed_coefficients(path):
-    """The sequence in the coefficient JSON at `path`, parsed with its
-    terms read straight into two columns, or None for any file this
-    parse does not accept: a valid document it cannot read plainly, or
-    one that `load_json` and `coefficients_from_doc` refuse, which then
-    give their message."""
-    # Loaded here, as the routes that read no coefficients never need it.
-    import mmap
     try:
         with open(path, "rb") as fh, \
                 mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
             # The text only: the mapped bytes are not copied.
             text = str(mm, "utf-8")
-        end = _WS(text, 0).end()
-        if not text.startswith("{", end):
-            return None
-        doc, end = JSONObject((text, end + 1), True, _scan_root_value,
-                              None, None)
-        if _WS(text, end).end() != len(text):
-            return None
+        doc = json.loads(text, object_hook=to_columns)
         del text            # before the sequence copies the columns
+        # A term-like object outside "terms" leaves the counts apart, or
+        # stands for the root, which then cannot be indexed.
         a0, n, terms = doc["a0"], doc["n"], doc["terms"]
         gen = doc.get("generator")
         if type(n) is not int or type(a0) not in _NUMBER \
-                or type(terms) is not tuple or len(terms[0]) != n \
+                or type(terms) is not list or len(terms) != n \
+                or len(a) != n or terms.count(_IN_COLUMNS) != n \
                 or not (gen is None or isinstance(gen, dict)):
             return None
-        return CoefficientSequence(a0, np.frombuffer(terms[0]),
-                                   np.frombuffer(terms[1]), generator=gen)
-    except _NOT_PLAIN:
+        return CoefficientSequence(a0, np.frombuffer(a), np.frombuffer(b),
+                                   generator=gen)
+    # A file that cannot be mapped (empty, or not a regular file), bytes
+    # that are not UTF-8 and the parser's own errors, a missing key or a
+    # root that is no object, a number past the float range or a
+    # non-finite coefficient.
+    except (OSError, ValueError, RecursionError, KeyError, TypeError,
+            OverflowError, DomainError):
         return None
 
 
 def load_coefficients(path) -> CoefficientSequence:
     """The coefficient JSON at `path`, held to MAX_SIZE terms.  A file
-    the streamed parse does not accept is read whole by `load_json`, so
+    the columns read does not accept is read again by `load_json`, so
     every refusal keeps the message and the order of that read."""
     _check_bytes(path, "terms", _TERM_BYTES, _HEAD_BYTES)
-    seq = _streamed_coefficients(path)
+    seq = _columns_read(path)
     if seq is not None:
         return seq
     doc = load_json(path)

@@ -856,6 +856,30 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "{grid}", "--tol", "1e-3"],
+        ["spectrum", "--catalog", "square_wave", "--n", "256"],
+        ["filter", "--input", "{seq}", "--eps", "0.5"],
+        ["eval", "--input", "{seq}", "--rho", "0.5", "--grid", "1024"],
+    ], ids=["classify", "spectrum", "filter", "eval"])
+    def test_a_file_size_limit_midway_leaves_no_file(self, workdir,
+                                                     tmp_path, argv):
+        # Each output passes 4096 bytes.  Python ignores SIGXFSZ, so the
+        # write that crosses the limit raises EFBIG.
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+        out = tmp_path / "out"
+        fill = {"grid": workdir / "cos256.csv", "seq": workdir / "square.json"}
+        p = subprocess.run(
+            [sys.executable, "-m", "circlecomb.cli",
+             *[a.format(**fill) for a in argv], "--output", str(out)],
+            capture_output=True, text=True, env=child_env(),
+            preexec_fn=limit_file_size)
+        assert p.returncode == 2, p.stderr
+        assert p.stderr == \
+            f"circlecomb {argv[0]}: [Errno 27] File too large\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
         ["spectrum", "--input", "{grid}"],
         ["spectrum", "--catalog", "square_wave"],
         ["filter", "--input", "{grid}", "--eps", "0.5"],

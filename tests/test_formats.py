@@ -332,18 +332,46 @@ def read_outcome(read):
 
 
 class TestCoefficientReads:
-    """`load_coefficients` streams the terms of a document, and gives
-    what the whole-document read gives on every file."""
+    """`load_coefficients` reads the terms of a document into columns,
+    and gives what the whole-document read gives on every file."""
 
+    # Term-like objects outside "terms": in the generator before and
+    # after them, the root itself, an array under another key, an earlier
+    # "terms" key, and one inside a term.
     @settings(max_examples=300, deadline=None)
     @given(text=valid_coefficient_json())
     @example(text='{"a0": -0.0, "n": 1, "terms": [{"k": 1, "a": -0, '
                   '"b": 1e308}]}')
+    @example(text='{"a0": 1, "n": 1, "generator": {"name": "step", "params": '
+                  '{"k": 1, "a": 0, "b": 0}}, "terms": [{"k": 1, "a": 2, '
+                  '"b": 3}]}')
+    @example(text='{"a0": 1, "n": 1, "terms": [{"k": 1, "a": 2, "b": 3}], '
+                  '"generator": {"name": "step", "params": {"k": 2, "a": 0, '
+                  '"b": 0}}}')
+    @example(text='{"k": 1, "a": 0, "b": 0, "a0": 1, "n": 0, "terms": []}')
+    @example(text='{"a0": 1, "n": 1, "terms": [{"k": 1, "a": 2, "b": 3}], '
+                  '"x": [{"k": 2, "a": 5, "b": 5}]}')
+    @example(text='{"terms": [{"k": 1, "a": 0, "b": 0}], "a0": 1, "n": 1, '
+                  '"terms": [{"k": 1, "a": 2, "b": 3}]}')
+    @example(text='{"a0": 1, "n": 1, "terms": [{"k": 1, "a": 2, "b": 3, '
+                  '"x": {"k": 1, "a": 5, "b": 5}}]}')
     def test_any_document_reads_as_the_whole_document(self, text):
         self.check_alike(text.encode())
 
+    # A null term beside a term-like object, numbers that are not finite
+    # or past the float range, and text that is not plain UTF-8.
     @settings(max_examples=150, deadline=None)
     @given(data=malformed_coefficient_json())
+    @example(data=b'{"a0": 1, "n": 1, "terms": [null], "generator": '
+                  b'{"params": {"k": 1, "a": 0, "b": 0}}}')
+    @example(data=b'{"a0": 1, "n": 1, "terms": [{"k": 1, "a": NaN, "b": 0}]}')
+    @example(data=b'{"a0": Infinity, "n": 0, "terms": []}')
+    @example(data=b'{"a0": 1' + b"0" * 399 + b', "n": 0, "terms": []}')
+    @example(data=b'{"a0": 1, "n": 1, "terms": [{"k": 1, "a": 2, "b": 1'
+                  + b"0" * 399 + b'}]}')
+    @example(data=b'\xef\xbb\xbf{"a0": 1, "n": 0, "terms": []}')
+    @example(data='{"a0": 1, "n": 0, "terms": []}'.encode("utf-16"))
+    @example(data=b"")
     def test_any_malformed_file_reads_as_the_whole_document(self, data):
         self.check_alike(data)
 
