@@ -18,6 +18,8 @@ that write no grid never compile it.
 
 import numpy as np
 
+from .spectrum import grid_nodes
+
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
 # "0." and up to three zeros before a fixed e < 0, and "e-05", "e-06"
@@ -95,17 +97,19 @@ def _g17_cells(x, out):
         out[slow] = np.frombuffer(text, np.uint8).reshape(-1, _CELL)
 
 
-def grid_rows(thetas, values, defined):
-    """The rows of a grid CSV, `%.17g,%.17g,%d` per node, as successive
-    chunks of bytes of up to `_CHUNK` rows each."""
-    for start in range(0, thetas.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        flags = defined[part]
+def grid_rows(values, defined):
+    """The rows of a grid CSV, `%.17g,%.17g,%d` per node with the node's
+    theta from `grid_nodes`, as successive chunks of bytes of up to
+    `_CHUNK` rows each."""
+    n = values.size
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        flags = defined[start:stop]
         # Theta and value cells alternate, each followed by three slots
         # for ",", and after the value the flag and the newline.
         cells = np.zeros((2 * flags.size, _CELL + 3), np.uint8)
         x = np.empty(2 * flags.size)
-        x[0::2], x[1::2] = thetas[part], values[part]
+        x[0::2], x[1::2] = grid_nodes(n, start, stop), values[start:stop]
         _g17_cells(x, cells[:, :_CELL])
         cells[:, _CELL] = ord(",")
         cells[1::2, _CELL + 1] = flags + ord("0")

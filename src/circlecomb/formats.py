@@ -20,7 +20,10 @@ Every file read holds at most `MAX_SIZE` grid rows or coefficient
 terms.  A file larger than the largest such file the writers emit is
 refused by its size before it is parsed, and one that parses to more
 rows or terms after; a grid sidecar is held to the head of a
-coefficient document plus one longest cell per singular point.
+coefficient document plus one longest cell per singular point.  Each
+JSON value past the first of its array or object follows a ",", so a
+JSON file with more of them than such a file holds (3 per term or 1 per
+singular point, and _HEAD_BYTES) is refused before it is parsed too.
 A coefficient document is parsed by one `json.loads` whose object hook
 moves each term into two float columns as it is parsed.  A file that
 this parse does not accept, valid or not, is parsed whole and checked by
@@ -63,7 +66,7 @@ _NODE = '{"theta": %.17g, "verdict": %s, "value": %s, "residual": %s}'
 # Largest grid or coefficient count read from a file, and the largest
 # --n and --grid the command line accepts.  At 2^20 a job peaks at
 # 63 MB writing coefficient JSON (`spectrum --n`) and 112 MB reading it
-# (`eval`), 83-94 MB on the grid routes, and 305 MB (`comb --method
+# (`eval`), 78-105 MB on the grid routes, and 305 MB (`comb --method
 # filter-limit`) to 557 MB (`classify` and its per-node report) with the
 # default widths: under about 1 GB, 8x above the largest sizes in use
 # (131072 nodes, 32768 harmonics).
@@ -78,6 +81,9 @@ _TERM_BYTES = len(_TERM % (MAX_SIZE, _LONGEST, _LONGEST) + ", ")
 _HEAD_BYTES = 4096
 # A grid sidecar gets the head and one such cell per singular point.
 _CELL_BYTES = len("%.17g, " % _LONGEST)
+# The "," of one written term, its separator included; the head of a
+# document gets _HEAD_BYTES of them, a sidecar one per singular point.
+_TERM_COMMAS = (_TERM + ", ").count(",")
 # Coefficient terms per chunk written.
 _CHUNK_TERMS = 4096
 
@@ -158,6 +164,21 @@ def _check_bytes(path, what, per_entry, head):
     if size > bound:
         raise DomainError(f"{path}: {size} bytes exceed {bound}, the largest "
                           f"file of {MAX_SIZE} {what}")
+
+
+def _check_commas(path, what, per_entry, head):
+    """DomainError when the file at `path` holds more "," than the
+    largest file of MAX_SIZE `what` at `per_entry` each after `head`:
+    each JSON value past the first of its array or object follows one,
+    so a file of many small values is refused before a parse builds
+    them.  The file is read a block at a time."""
+    count, bound = 0, head + per_entry * MAX_SIZE
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            count += block.count(b",")
+    if count > bound:
+        raise DomainError(f"{path}: {count} commas exceed {bound}, the "
+                          f"most in a file of {MAX_SIZE} {what}")
 
 
 def _check_count(path, count, what):
@@ -311,6 +332,7 @@ def load_coefficients(path) -> CoefficientSequence:
     the columns read does not accept is read again by `load_json`, so
     every refusal keeps the message and the order of that read."""
     _check_bytes(path, "terms", _TERM_BYTES, _HEAD_BYTES)
+    _check_commas(path, "terms", _TERM_COMMAS, _HEAD_BYTES)
     seq = _columns_read(path)
     if seq is not None:
         return seq
@@ -338,7 +360,7 @@ def write_grid(path, grid: GridFunction):
     # GridFunction holds finite values where defined and NaN elsewhere,
     # which `%.17g` writes as "nan", so the rows need no checks.
     from ._gridrows import grid_rows
-    rows = grid_rows(grid.thetas(), grid.values, grid.defined)
+    rows = grid_rows(grid.values, grid.defined)
     meta = {"singular_points": [float(s) for s in grid.singular_points],
             "note": grid.note}
     if grid.domain is not None:
@@ -433,6 +455,7 @@ def read_grid(path):
     side = _sidecar(path)
     if os.path.exists(side):
         _check_bytes(side, "singular points", _CELL_BYTES, _HEAD_BYTES)
+        _check_commas(side, "singular points", 1, _HEAD_BYTES)
         meta = load_json(side)
         if not isinstance(meta, dict):
             raise DomainError(f"{side}: metadata must be a JSON object")

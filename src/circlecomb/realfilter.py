@@ -22,7 +22,8 @@ from .errors import (DomainError, EpsilonBelowResolution, QuadratureFailure,
                      UndefinedHere)
 from .spectrum import (SEAM, TWO_PI, CoefficientSequence, EvaluatorFunction,
                        GridFunction, SingularPoint, check_grid_sums,
-                       check_half_width, circle_distance, sinc, wrap_angle)
+                       check_half_width, circle_distance, grid_nodes, sinc,
+                       wrap_angle)
 
 DEFAULT_EPS_SCHEDULE = (0.2, 0.1, 0.05, 0.025)
 
@@ -208,11 +209,22 @@ def kernel_filter_grid(grid: GridFunction, eps: float) -> GridFunction:
     out = _interpolant_windows(grid, None, eps / h)
     note = f"filtered(eps={eps:.17g}) {grid.note}".strip()
     if grid.domain is not None:
-        out[circle_distance(grid.thetas(), math.pi) <= eps + h] = np.nan
+        out[_near_seam(grid.n, eps + h)] = np.nan
         note += " boundary-masked"
     return GridFunction(values=out, defined=~np.isnan(out),
                         singular_points=grid.singular_points, note=note,
                         domain=grid.domain)
+
+
+def _near_seam(n, reach):
+    """Indices of the nodes of grid_nodes(n) with circle_distance(theta,
+    pi) <= reach.  Node i lies about i h from the seam and node n - 1 - i
+    about (i + 1) h, h = 2 pi / n, so only the floor(reach / h) + 2 nodes
+    at each end are tried, their thetas the same floats."""
+    m = min(int(reach / (TWO_PI / n)) + 2, n)
+    ends = np.r_[0:m, n - m:n]
+    thetas = np.concatenate((grid_nodes(n, 0, m), grid_nodes(n, n - m, n)))
+    return ends[circle_distance(thetas, math.pi) <= reach]
 
 
 def window_averages(f: EvaluatorFunction, thetas, eps) -> np.ndarray:

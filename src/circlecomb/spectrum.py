@@ -30,7 +30,7 @@ DEFAULT_N = 256
 _COEFF_TOL = 1e-10
 _BASE_PANELS = 4
 
-# k-block size for chunked trigonometric sums; bounds temporary arrays.
+# k-block size for chunked sums over k; bounds temporary arrays.
 _CHUNK = 8192
 
 
@@ -333,8 +333,9 @@ def partial_sum_eval(seq, theta, m=None):
     return acc
 
 
-def grid_nodes(n_nodes):
-    """Uniform circle grid theta_i = -pi + 2 pi i / n, i = 0..n-1.
+def grid_nodes(n_nodes, start=0, stop=None):
+    """Uniform circle grid theta_i = -pi + 2 pi i / n, i = 0..n-1, or
+    the nodes i = start..stop-1 of it, each the same float.
 
     Computed as ((2 i - n) / n) * pi: the ratio is exactly -1 at i = 0
     and exactly 0 at i = n/2, so the seam node is bit-exact -pi for
@@ -342,8 +343,9 @@ def grid_nodes(n_nodes):
     outside [-pi, pi).
     """
     n = int(n_nodes)
+    stop = n if stop is None else stop
     # 2 i - n, exact below 2^52 nodes, then in place in the same array.
-    x = np.arange(-n, n, 2, dtype=float)
+    x = np.arange(2 * start - n, 2 * stop - n, 2, dtype=float)
     x /= n
     x *= math.pi
     return x
@@ -365,25 +367,55 @@ def horner(coeffs, z):
     return acc
 
 
+def _fold_rows(bins, c, weights):
+    """Add c * weights to the N `bins` a row of N terms at a time, each
+    bin down its rows in order, as the padded sum down the rows adds
+    them: term j goes to bin j mod N, and a short last row adds +0 to
+    the bins it misses.  Whole rows go a block at a time."""
+    n_nodes = bins.size
+    step = n_nodes * max(_CHUNK // n_nodes, 1)
+    block = np.empty(min(step, c.size), dtype=complex)
+    for start in range(0, c.size, step):
+        terms = block[:min(step, c.size - start)]
+        part = slice(start, start + terms.size)
+        np.multiply(c[part], weights[part], out=terms)
+        whole = terms.size - terms.size % n_nodes
+        if whole:
+            rows = terms[:whole].reshape(-1, n_nodes)
+            # Summed from +0 as the padded sum is, so a -0 left in
+            # `bins` by the first row becomes +0 as it did there.
+            rows[0] += bins
+            np.add.reduce(rows, axis=0, out=bins)
+        if whole < terms.size:
+            bins[:terms.size - whole] += terms[whole:]
+            bins[terms.size - whole:] += 0.0
+
+
 def grid_sum(a0, c, n_nodes, rho=1.0):
     """a0 + Re sum_k c[k-1] rho^k e^{i k theta_j}, k = 1..n, at the nodes
     theta_j = grid_nodes(N): the one synthesis on a uniform grid.
 
     There e^{i k theta_j} = (-1)^k e^{2 pi i k j / N}, so the sum is the
     unscaled inverse DFT of C_r = sum_{k = r mod N} (-1)^k rho^k c_k.
-    The fold is one pad-and-reshape sum and the transform one FFT, so
-    the cost is O(n + N log N) in O(n + N) memory, and every phase is
-    exact.  `rho` lies in [0, 1].  DomainError where a value overflows.
+    The terms fold straight into the N bins, a row of N at a time and
+    in order of k, and the transform is one FFT, so the cost is
+    O(n + N log N) in O(n + N) memory, and every phase is exact.  `rho`
+    lies in [0, 1].  DomainError where a value overflows.
     """
     n_nodes = int(n_nodes)
     c = np.asarray(c, dtype=complex)
     weights = rho ** np.arange(1.0, c.size + 1)
     weights[::2] *= -1.0
-    folded = np.zeros(-(-(c.size + 1) // n_nodes) * n_nodes, dtype=complex)
+    bins = np.zeros(n_nodes, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(c, weights, out=folded[1:c.size + 1])
-        bins = folded.reshape(-1, n_nodes).sum(axis=0)
-        del folded
+        if n_nodes == 1:
+            # One column, which numpy sums pairwise, not row by row.
+            bins[0] = np.sum(np.r_[0j, c * weights])
+        else:
+            head = min(c.size, n_nodes - 1)
+            np.multiply(c[:head], weights[:head], out=bins[1:head + 1])
+            _fold_rows(bins, c[head:], weights[head:])
+        del weights
         sums = np.fft.ifft(bins, norm="forward")
         del bins
         # A new array, not a view that would keep the complex sums.

@@ -135,6 +135,19 @@ def exact_phase_sums(a0, a, b, n_nodes, rho=1.0, nodes=None):
     return out
 
 
+def reference_grid_sum(a0, c, n_nodes, rho=1.0):
+    """`spectrum.grid_sum` as first written: the weighted terms padded to
+    whole rows of N and summed down the rows by one reshape, then the
+    same inverse FFT.  The fold that replaced it must give its bytes."""
+    c = np.asarray(c, dtype=complex)
+    weights = rho ** np.arange(1.0, c.size + 1)
+    weights[::2] *= -1.0
+    folded = np.zeros(-(-(c.size + 1) // n_nodes) * n_nodes, dtype=complex)
+    np.multiply(c, weights, out=folded[1:c.size + 1])
+    bins = folded.reshape(-1, n_nodes).sum(axis=0)
+    return a0 + np.fft.ifft(bins, norm="forward").real
+
+
 # ------------------------------------------------- reference file formats
 # Element-wise writers and a row reader for the on-disk formats, written
 # with the stdlib only, one row or one element at a time.  The package's

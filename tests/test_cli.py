@@ -619,6 +619,42 @@ class TestExitCodes:
         assert err[0].endswith(f"{seq}: 1027 terms exceed 1024")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["comb", "--input", "{seq}", "--method", "fourier"],
+        ["eval", "--input", "{seq}", "--rho", "0.5"],
+    ], ids=["comb-fourier", "eval"])
+    def test_coefficient_files_of_many_small_values_exit_2_unparsed(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # `[0,0,...]` up to the byte bound of 1024 terms holds about 42000
+        # "," against 4096 + 3 per term, and is refused before any parse.
+        monkeypatch.setattr(formats, "MAX_SIZE", 1024)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("parsed")
+
+        monkeypatch.setattr(formats, "load_json", refused)
+        monkeypatch.setattr(formats.json, "loads", refused)
+        seq = tmp_path / "zeros.json"
+        zeros = (formats._HEAD_BYTES + 1024 * formats._TERM_BYTES - 1) // 2
+        seq.write_text("[" + "0," * (zeros - 1) + "0]")
+        commas = zeros - 1
+        out = tmp_path / "out"
+        assert cli.main([a.format(seq=seq) for a in argv]
+                        + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].endswith(f"{seq}: {commas} commas exceed 7168, the "
+                               "most in a file of 1024 terms")
+        assert not out.exists()
+
+    def test_a_plain_coefficient_file_at_the_cap_keeps_its_commas(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_SIZE", 1024)
+        path = tmp_path / "saw.json"
+        save_coefficients(path, make("sawtooth").coefficients(1024))
+        assert path.read_text().count(",") <= 4096 + 3 * 1024
+        assert formats.load_coefficients(path).n == 1024
+
     def test_the_default_schedules_fit_on_the_largest_grids(self):
         assert len(realfilter.DEFAULT_EPS_SCHEDULE) * formats.MAX_SIZE \
             <= cli._MAX_WORK

@@ -499,6 +499,28 @@ class TestGridFiles:
         assert back.note == ""
         assert back.domain is None
 
+    def test_a_sidecar_of_many_small_values_is_refused_unparsed(
+            self, tmp_path, monkeypatch):
+        # The head and one "," per singular point: 4096 + 1024 here.  The
+        # 1024 points written take 1023; a list of zeros within the byte
+        # bound takes about 15000.
+        monkeypatch.setattr(formats, "MAX_SIZE", 1024)
+        path = tmp_path / "grid.csv"
+        points = tuple(np.linspace(-3.0, 3.0, 1024))
+        write_grid(path, replace(self.sample_grid(), singular_points=points))
+        assert read_grid(path).singular_points == points
+        side = tmp_path / "grid.csv.json"
+        side.write_text('{"singular_points": [' + "0," * 15000 + "0]}")
+
+        def refused(path):
+            raise AssertionError("parsed")
+
+        monkeypatch.setattr(formats, "load_json", refused)
+        with pytest.raises(DomainError) as info:
+            read_grid(path)
+        assert str(info.value) == f"{side}: 15000 commas exceed 5120, " \
+            "the most in a file of 1024 singular points"
+
     def test_rewrites_are_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_grid(p1, replace(self.sample_grid(), domain=(0.0, 10.0)))

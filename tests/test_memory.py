@@ -1,6 +1,6 @@
-"""Traced peaks of the grid routes at 2^20 nodes, per node, of the
-schedule routes at 65536 nodes x 32 entries, per entry and node, and of
-the coefficient JSON reader and writer at 65536 terms.
+"""Traced peaks of the grid routes and of `grid_sum` at 2^20 nodes, per
+node, of the schedule routes at 65536 nodes x 32 entries, per entry and
+node, and of the coefficient JSON reader and writer at 65536 terms.
 
 Each bound counts the arrays over the nodes that the function holds at
 once, 8 bytes per node for each float array and 16 for each complex
@@ -8,6 +8,7 @@ one, plus a stated allowance; the data passed in is not counted.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from circlecomb.classify import (classify_pointwise, comb_by_filter_limit,
 from circlecomb.disk import boundary_value_grid
 from circlecomb.formats import load_coefficients, save_coefficients, write_grid
 from circlecomb.realfilter import grid_evaluator, kernel_filter_grid
-from circlecomb.spectrum import CoefficientSequence, GridFunction, grid_nodes
+from circlecomb.spectrum import (CoefficientSequence, GridFunction, grid_nodes,
+                                grid_sum)
 
 N = 1 << 20
 TERMS = 1 << 16
@@ -51,13 +53,25 @@ def test_grid_function_checks_its_values_without_a_gathered_copy(grid):
     assert peak < 12.0, f"GridFunction traced peak {peak:.1f} B/node"
 
 
-def test_write_grid_holds_the_nodes_and_one_chunk(grid, tmp_path):
-    # The thetas (8 B/node), and one chunk of 8192 rows with its cell
-    # slots, text and temporaries, about 3 MB at any grid size: under
-    # 4 MB, 4 B/node here.
+def test_write_grid_holds_one_chunk(grid, tmp_path):
+    # One chunk of 8192 rows, its thetas made from the node indices, with
+    # its cell slots, text and temporaries, about 3 MB at any grid size:
+    # under 4 MB, 4 B/node here.  The whole grid's thetas held 8 B/node
+    # more.
     path = tmp_path / "g.csv"
     peak = peak_per_node(lambda: write_grid(path, grid))
-    assert peak < 12.0, f"write_grid traced peak {peak:.1f} B/node"
+    assert peak < 4.0, f"write_grid traced peak {peak:.1f} B/node"
+
+
+def test_grid_sum_folds_into_the_bins():
+    # Three rows of terms and a part: their weights (24 B/node), the N
+    # bins and one block of a row's weighted terms, complex (32 B/node);
+    # then the bins and their inverse FFT (32 B/node).  Padding the terms
+    # to whole rows and summing them down by one reshape held 104 B/node.
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(3 * N + 5) + 1j * rng.standard_normal(3 * N + 5)
+    peak = peak_per_node(lambda: grid_sum(0.5, c, N, 0.5))
+    assert peak < 60.0, f"grid_sum traced peak {peak:.1f} B/node"
 
 
 def test_kernel_filter_grid_holds_four_float_arrays(grid):
@@ -66,6 +80,15 @@ def test_kernel_filter_grid_holds_four_float_arrays(grid):
     # undefined-window mask (1 B/node), and 3 B/node for the extension
     # past each end and numpy's own scratch.
     peak = peak_per_node(lambda: kernel_filter_grid(grid, 0.01))
+    assert peak < 36.0, f"kernel_filter_grid traced peak {peak:.1f} B/node"
+
+
+def test_kernel_filter_grid_masks_the_seam_in_the_same_arrays(grid):
+    # On interval data the seam mask tries the nodes within reach of
+    # the seam only; over the whole grid its thetas and their distances
+    # held 16 B/node more.
+    interval = replace(grid, domain=(0.0, 1.0))
+    peak = peak_per_node(lambda: kernel_filter_grid(interval, 0.01))
     assert peak < 36.0, f"kernel_filter_grid traced peak {peak:.1f} B/node"
 
 

@@ -26,8 +26,8 @@ from circlecomb.realfilter import (
 )
 from circlecomb.rescale import IntervalMap
 from circlecomb.spectrum import (CoefficientSequence, EvaluatorFunction,
-                                 SingularPoint, compute_coefficients,
-                                 grid_nodes)
+                                 SingularPoint, circle_distance,
+                                 compute_coefficients, grid_nodes)
 
 from conftest import delta_coefficients
 
@@ -267,6 +267,32 @@ def test_grid_windows_match_interpolant_quadrature(rng, n_nodes, domain):
     assert not np.isnan(ref[~undefined]).any()
     bound = 1e-12 * (1.0 + np.max(np.abs(v)))
     assert np.max(np.abs(got - ref)[~undefined]) <= bound
+
+
+def test_grid_filter_masks_the_seam_by_the_whole_grid_rule(rng):
+    # The seam mask of interval data tries only the nodes next to the
+    # seam; it must mask exactly the nodes of the rule over the whole
+    # grid, circle_distance(theta, pi) <= eps + h.  Half the reaches are
+    # put exactly on a node's distance or one ulp short of it.
+    on_node = 0
+    for trial in range(400):
+        n = int(rng.integers(2, 3000))
+        h = 2 * PI / n
+        dist = circle_distance(grid_nodes(n), PI)
+        eps = rng.uniform(h, PI)
+        if trial % 2:
+            reach = dist[int(rng.integers(0, n))]
+            near = [e for e in (reach - h, np.nextafter(reach - h, 0.0),
+                                np.nextafter(reach - h, PI))
+                    if e + h == reach and h < e <= PI]
+            if not near:
+                continue
+            on_node += 1
+            eps = near[0] if trial % 4 == 1 else np.nextafter(near[0], 0.0)
+        grid = GridFunction(np.ones(n), np.ones(n, bool), domain=(0.0, 1.0))
+        got = np.isnan(kernel_filter_grid(grid, eps).values)
+        assert np.array_equal(got, dist <= eps + h), (n, eps)
+    assert on_node >= 50
 
 
 def _exact_interpolant_average(v, c, q):

@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 
 from circlecomb.catalog import make
-from circlecomb.disk import boundary_value_grid
+from circlecomb.disk import boundary_value_grid, ring_grid
 from circlecomb.errors import DomainError, NonIntegrableInput, UndefinedHere
 from circlecomb.realfilter import GridFunction, grid_evaluator
 from circlecomb.spectrum import (
@@ -28,7 +28,7 @@ from circlecomb.spectrum import (
 )
 
 from conftest import (delta_coefficients, exact_phase_sums, random_trig_poly,
-                      square_coefficients)
+                      reference_grid_sum, square_coefficients)
 
 PI = math.pi
 EPS = np.finfo(float).eps
@@ -202,6 +202,15 @@ def test_grid_nodes_hit_exact_floats():
     assert np.array_equal(nodes, np.array([-PI, -PI / 2, 0.0, PI / 2]))
 
 
+@pytest.mark.parametrize("n", [2, 7, 64, 1027])
+def test_grid_nodes_over_a_range_are_the_same_floats(rng, n):
+    whole = grid_nodes(n)
+    for _ in range(20):
+        start, stop = sorted(rng.integers(0, n + 1, 2))
+        assert grid_nodes(n, start, stop).tobytes() == \
+            whole[start:stop].tobytes()
+
+
 @pytest.mark.parametrize("n_nodes, n", [(16, 40), (64, 4096), (4096, 8)])
 def test_partial_sum_grid_matches_pointwise_route(rng, n_nodes, n):
     # n >> N wraps harmonics around the grid, N >> n puts few terms on
@@ -299,6 +308,61 @@ def test_grid_sum_refuses_sums_that_overflow():
         grid_sum(0.0, [1e308 - 1e308j] * 3, 16)
     with pytest.raises(DomainError, match="overflow"):
         grid_sum(1.7e308, [1.7e308], 2)
+
+
+def _signed_zero_terms(rng, n, zeros_only=False):
+    """n complex terms whose parts are random or +-0.0, about half each,
+    or +-0.0 only."""
+    parts = rng.standard_normal((2, n))
+    parts[zeros_only | (rng.random((2, n)) < 0.5)] = 0.0
+    parts[rng.random((2, n)) < 0.5] *= -1.0
+    c = np.empty(n, dtype=complex)
+    c.real, c.imag = parts
+    return c
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+def test_grid_sum_gives_the_padded_fold_bytes(rng, rho):
+    # Every grid to 700 nodes, with the terms filling part of the first
+    # row, all of it, one term or one short of a second row, and three
+    # rows and a part, and a random length; signed zeros as well.
+    for n_nodes in range(1, 701):
+        lengths = {0, max(n_nodes - 2, 0), n_nodes - 1, n_nodes,
+                   n_nodes + 1, 3 * n_nodes + 5,
+                   int(rng.integers(0, 4 * n_nodes + 4))}
+        for n in sorted(lengths):
+            for zeros_only in (False, True):
+                c = _signed_zero_terms(rng, n, zeros_only)
+                got = grid_sum(-0.0, c, n_nodes, rho)
+                want = reference_grid_sum(-0.0, c, n_nodes, rho)
+                assert got.tobytes() == want.tobytes(), (n_nodes, n)
+
+
+@pytest.mark.parametrize("n_nodes, n", [(2, 20001), (3, 3 * 8192 + 7),
+                                        (700, 30000), (8192, 3 * 8192),
+                                        (9000, 40000)])
+def test_grid_sum_gives_the_padded_fold_bytes_over_many_blocks(rng, n_nodes,
+                                                               n):
+    c = _signed_zero_terms(rng, n)
+    for rho in (1.0, 0.9999):
+        assert grid_sum(0.5, c, n_nodes, rho).tobytes() == \
+            reference_grid_sum(0.5, c, n_nodes, rho).tobytes()
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 7, 64, 700])
+def test_grid_partial_sums_and_rings_give_the_padded_fold_bytes(rng,
+                                                                n_nodes):
+    n = 3 * n_nodes + 5
+    for zeros_only in (False, True):
+        c = _signed_zero_terms(rng, n, zeros_only)
+        seq = CoefficientSequence(-0.0, c.real, -c.imag)
+        for m in (0, n_nodes - 1, n_nodes + 1, n):
+            assert partial_sum_grid(seq, n_nodes, m).tobytes() == \
+                reference_grid_sum(-0.0, seq.complex_view()[:m],
+                                   n_nodes).tobytes()
+        assert ring_grid(seq, 0.5, n_nodes).tobytes() == \
+            reference_grid_sum(-0.0, seq.complex_view(), n_nodes,
+                               0.5).tobytes()
 
 
 @pytest.mark.parametrize("n_nodes, n", [(16, 40), (128, 200), (384, 96)])
