@@ -9,7 +9,7 @@ An `--output` that cannot be written (a missing or unwritable directory,
 a name past the file system's limit, on the grid routes also for its
 `<output>.json` sidecar) exits 2 before any input is read, and creates
 no file.  Input files are held to `formats.MAX_SIZE` entries by their
-readers, by byte size before they are parsed.
+readers, by their size and their count of "," before they are parsed.
 
 The process runs BLAS on one thread unless the caller sets a count:
 loading this module before numpy sets `OPENBLAS_NUM_THREADS=1` when none
@@ -68,8 +68,6 @@ def _float_list(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: "
                                          f"{text!r}") from None
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
     return vals
 
 
@@ -276,7 +274,7 @@ def cmd_classify(args) -> int:
         report = classify.classify_pointwise(
             grid_evaluator(grid), n_grid=grid.n,
             **_given(args, ("eps_schedule", "tol")))
-    _write_doc((formats.dumps_report(report),), args.output)
+    _write_doc(formats.report_chunks(report), args.output)
     return 0
 
 

@@ -1,29 +1,33 @@
 """Deterministic on-disk formats: coefficient JSON, grid CSV, reports.
 
 Every float is written as `%.17g`, enough to round-trip IEEE doubles
-exactly, and dictionary keys keep their insertion order, so the same
-data always produces byte-identical files.  JSON is written by this
-module's own writer, since the stdlib dumper writes shortest-roundtrip
-floats.  The three large bodies are written straight from their data:
-the rows of a grid CSV by `_gridrows`, which gives the bytes of
-`%`-formatting with no Python object per cell, and the terms of a
-coefficient document (4096 at a time) and the nodes of a report each by
-one `%`-format over a flat tuple of cells; the small parts take the
-element-wise writer.  Whatever could be refused is serialized before a
-file is opened, so a refused value leaves no file behind.  Grid rows
-and coefficient terms hold no value to refuse, so they stream to their
-file a chunk at a time.  Every file is written by one writer, and a
-failure while writing removes the partial file.
+exactly, with -0.0 in JSON as `-0.0`, which JSON reads back as a float,
+and dictionary keys keep their insertion order, so the same data always
+produces byte-identical files.  JSON is written by this module's own
+writer, since the stdlib dumper writes shortest-roundtrip floats.  The
+three large bodies are written straight from their data: the rows of a
+grid CSV by `_gridrows`, which gives the bytes of `%`-formatting with no
+Python object per cell, and the terms of a coefficient document and the
+nodes of a report, 4096 at a time, each by one `%`-format over a flat
+tuple of cells; the small parts take the element-wise writer.  Whatever
+could be refused is serialized or checked before a file is opened, so a
+refused value leaves no file behind: grid rows and coefficient terms
+hold no value to refuse, and a report's floats are checked before its
+first chunk, so all three stream to their file a chunk at a time.
+Every file is written by one writer, and a failure while writing
+removes the partial file.
 
 Reads are strict; a malformed file raises `DomainError` naming it.
 Every file read holds at most `MAX_SIZE` grid rows or coefficient
-terms.  A file larger than the largest such file the writers emit is
-refused by its size before it is parsed, and one that parses to more
-rows or terms after; a grid sidecar is held to the head of a
-coefficient document plus one longest cell per singular point.  Each
-JSON value past the first of its array or object follows a ",", so a
-JSON file with more of them than such a file holds (3 per term or 1 per
-singular point, and _HEAD_BYTES) is refused before it is parsed too.
+terms, and one budget holds it before it is parsed: it may be no
+larger, and hold no more ",", than the largest such file the writers
+emit, at 2 per grid row and 3 per term.  Each CSV field and JSON value
+past the first of its row, array or object follows a ",", so a file of
+many small values is refused unparsed too.  A grid sidecar gets the
+head of a coefficient document plus one longest cell and its "," per
+singular point.  A pipe or a device, which has no size to check, is
+refused.  A file that parses to more rows or terms than MAX_SIZE is
+refused after.
 A coefficient document is parsed by one `json.loads` whose object hook
 moves each term into two float columns as it is parsed.  A file that
 this parse does not accept, valid or not, is parsed whole and checked by
@@ -43,6 +47,7 @@ import json
 import math
 import os
 import re
+import stat
 import warnings
 from itertools import chain
 
@@ -67,24 +72,21 @@ _NODE = '{"theta": %.17g, "verdict": %s, "value": %s, "residual": %s}'
 # --n and --grid the command line accepts.  At 2^20 a job peaks at
 # 63 MB writing coefficient JSON (`spectrum --n`) and 112 MB reading it
 # (`eval`), 78-105 MB on the grid routes, and 305 MB (`comb --method
-# filter-limit`) to 557 MB (`classify` and its per-node report) with the
+# filter-limit`) to 483 MB (`classify` and its per-node reports) with the
 # default widths: under about 1 GB, 8x above the largest sizes in use
 # (131072 nodes, 32768 harmonics).
 MAX_SIZE = 1 << 20
 # A double with the longest `%.17g` cell (sign, 17 digits, point and a
-# three-digit exponent), and from it the longest grid row and coefficient
-# term (with its ", " separator) the writers emit.  The head of a
-# coefficient document, its generator tag included, gets _HEAD_BYTES.
+# three-digit exponent), and from it the longest grid row, coefficient
+# term and sidecar cell the writers emit, each with its separator.  The
+# head of a coefficient document, its generator tag included, and of a
+# sidecar gets _HEAD_BYTES.
 _LONGEST = -2.2250738585072014e-308
-_ROW_BYTES = len("%.17g,%.17g,1\n" % (_LONGEST, _LONGEST))
-_TERM_BYTES = len(_TERM % (MAX_SIZE, _LONGEST, _LONGEST) + ", ")
+_LONGEST_ROW = "%.17g,%.17g,1\n" % (_LONGEST, _LONGEST)
+_LONGEST_TERM = _TERM % (MAX_SIZE, _LONGEST, _LONGEST) + ", "
+_LONGEST_CELL = "%.17g, " % _LONGEST
 _HEAD_BYTES = 4096
-# A grid sidecar gets the head and one such cell per singular point.
-_CELL_BYTES = len("%.17g, " % _LONGEST)
-# The "," of one written term, its separator included; the head of a
-# document gets _HEAD_BYTES of them, a sidecar one per singular point.
-_TERM_COMMAS = (_TERM + ", ").count(",")
-# Coefficient terms per chunk written.
+# Coefficient terms or report nodes per chunk written.
 _CHUNK_TERMS = 4096
 
 # The Python types json.loads gives JSON numbers; bool is not among them.
@@ -101,6 +103,12 @@ def _check_json_floats(values):
         raise DomainError("cannot serialize an infinite number")
 
 
+def _signed_zeros(text: str) -> str:
+    """`text` of `_TERM` or `_NODE` cells with each -0.0 cell, written
+    "-0" and followed by "," or "}", as "-0.0"."""
+    return text.replace(": -0,", ": -0.0,").replace(": -0}", ": -0.0}")
+
+
 def _write_json(obj, out: list):
     if obj is None:
         out.append("null")
@@ -112,7 +120,9 @@ def _write_json(obj, out: list):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         _check_json_floats(obj)
-        out.append("%.17g" % obj)
+        text = "%.17g" % obj
+        # JSON reads "-0" as the integer 0, which loses the sign.
+        out.append("-0.0" if text == "-0" else text)
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, val) in enumerate(obj.items()):
@@ -157,22 +167,23 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> DomainError:
     return DomainError(f"{path}: not valid UTF-8 ({exc.reason})")
 
 
-def _check_bytes(path, what, per_entry, head):
-    """DomainError when the file at `path` is larger than the largest
-    file of MAX_SIZE `what` at `per_entry` bytes each after `head`."""
-    size, bound = os.stat(path).st_size, head + per_entry * MAX_SIZE
+def _check_budget(path, what, entry, head):
+    """DomainError when the file at `path` is larger, or holds more ",",
+    than the largest file of MAX_SIZE `what` at the text `entry` each
+    after `head` bytes (or commas).  The size is checked first, so a file
+    too large is never read; the "," are then counted a block at a time.
+    Each CSV field or JSON value past the first of its row, array or
+    object follows one, so a file of many small values is refused before
+    a parse builds them.  A pipe or a device has no size to check, and
+    the count would drain it or never end, so it is refused."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise DomainError(f"{path}: not a regular file")
+    size, bound = info.st_size, head + len(entry) * MAX_SIZE
     if size > bound:
         raise DomainError(f"{path}: {size} bytes exceed {bound}, the largest "
                           f"file of {MAX_SIZE} {what}")
-
-
-def _check_commas(path, what, per_entry, head):
-    """DomainError when the file at `path` holds more "," than the
-    largest file of MAX_SIZE `what` at `per_entry` each after `head`:
-    each JSON value past the first of its array or object follows one,
-    so a file of many small values is refused before a parse builds
-    them.  The file is read a block at a time."""
-    count, bound = 0, head + per_entry * MAX_SIZE
+    count, bound = 0, head + entry.count(",") * MAX_SIZE
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             count += block.count(b",")
@@ -206,7 +217,7 @@ def coefficient_chunks(seq: CoefficientSequence):
     generator tag when present.  The head and the tail are made here,
     so a tag that cannot be serialized raises before the first chunk.
     The sequence holds finite floats only, so no term needs a check."""
-    head = '{"a0": %.17g, "n": %d, "terms": [' % (seq.a0, seq.n)
+    head = '{"a0": %s, "n": %d, "terms": [' % (dumps_json(seq.a0), seq.n)
     tail = "]}" if seq.generator is None else \
         '], "generator": ' + dumps_json(seq.generator) + "}"
     return chain((head,), _term_chunks(seq), (tail,))
@@ -217,8 +228,8 @@ def _term_chunks(seq):
         a = seq.a[start:start + _CHUNK_TERMS].tolist()
         b = seq.b[start:start + _CHUNK_TERMS].tolist()
         cells = zip(range(start + 1, start + 1 + len(a)), a, b)
-        yield (", " if start else "") + ", ".join([_TERM] * len(a)) \
-            % tuple(chain.from_iterable(cells))
+        yield (", " if start else "") + _signed_zeros(
+            ", ".join([_TERM] * len(a)) % tuple(chain.from_iterable(cells)))
 
 
 def dumps_coefficients(seq: CoefficientSequence) -> str:
@@ -331,8 +342,7 @@ def load_coefficients(path) -> CoefficientSequence:
     """The coefficient JSON at `path`, held to MAX_SIZE terms.  A file
     the columns read does not accept is read again by `load_json`, so
     every refusal keeps the message and the order of that read."""
-    _check_bytes(path, "terms", _TERM_BYTES, _HEAD_BYTES)
-    _check_commas(path, "terms", _TERM_COMMAS, _HEAD_BYTES)
+    _check_budget(path, "terms", _LONGEST_TERM, _HEAD_BYTES)
     seq = _columns_read(path)
     if seq is not None:
         return seq
@@ -416,7 +426,7 @@ def _loose_flag(path, row, flag) -> DomainError:
 def read_grid(path):
     """Load a grid CSV, and its sidecar when present, held to MAX_SIZE
     rows."""
-    _check_bytes(path, "rows", _ROW_BYTES, len(_GRID_HEADER) + 1)
+    _check_budget(path, "rows", _LONGEST_ROW, len(_GRID_HEADER) + 1)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().strip() != _GRID_HEADER:
@@ -454,8 +464,7 @@ def read_grid(path):
     domain = None
     side = _sidecar(path)
     if os.path.exists(side):
-        _check_bytes(side, "singular points", _CELL_BYTES, _HEAD_BYTES)
-        _check_commas(side, "singular points", 1, _HEAD_BYTES)
+        _check_budget(side, "singular points", _LONGEST_CELL, _HEAD_BYTES)
         meta = load_json(side)
         if not isinstance(meta, dict):
             raise DomainError(f"{side}: metadata must be a JSON object")
@@ -474,20 +483,36 @@ def read_grid(path):
 
 # ------------------------------------------------------------------ reports
 
-def dumps_report(report) -> str:
-    """The report document: overall verdict, params, and one object per
-    node with its theta, verdict, value and residual (null when None)."""
+def report_chunks(report):
+    """The report document as text chunks: the head with the overall
+    verdict and params, one object per node with its theta, verdict,
+    value and residual (null when None) 4096 nodes at a time, and the
+    tail.  Every float is checked, a chunk at a time, before the first
+    chunk is made, so a refused value leaves no file."""
+    nodes = report.nodes
+    for start in range(0, len(nodes), _CHUNK_TERMS):
+        _check_json_floats([x for node in nodes[start:start + _CHUNK_TERMS]
+                            for x in (node.theta, node.value, node.residual)
+                            if x is not None])
+    head = '{"overall": %s, "params": %s, "nodes": [' % (
+        dumps_json(report.overall), dumps_json(report.params))
+    return chain((head,), _node_chunks(nodes), ("]}",))
+
+
+def _node_chunks(nodes):
     def number(x):
         return "null" if x is None else "%.17g" % x
 
-    nodes = report.nodes
-    _check_json_floats([x for node in nodes
-                        for x in (node.theta, node.value, node.residual)
-                        if x is not None])
     quoted = {v: json.dumps(v) for v in {node.verdict for node in nodes}}
-    cells = chain.from_iterable(
-        (node.theta, quoted[node.verdict], number(node.value),
-         number(node.residual)) for node in nodes)
-    return '{"overall": %s, "params": %s, "nodes": [%s]}' % (
-        dumps_json(report.overall), dumps_json(report.params),
-        ", ".join([_NODE] * len(nodes)) % tuple(cells))
+    for start in range(0, len(nodes), _CHUNK_TERMS):
+        part = nodes[start:start + _CHUNK_TERMS]
+        cells = chain.from_iterable(
+            (node.theta, quoted[node.verdict], number(node.value),
+             number(node.residual)) for node in part)
+        yield (", " if start else "") + _signed_zeros(
+            ", ".join([_NODE] * len(part)) % tuple(cells))
+
+
+def dumps_report(report) -> str:
+    """The report document as one string."""
+    return "".join(report_chunks(report))

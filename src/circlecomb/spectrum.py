@@ -367,18 +367,27 @@ def horner(coeffs, z):
     return acc
 
 
-def _fold_rows(bins, c, weights):
-    """Add c * weights to the N `bins` a row of N terms at a time, each
-    bin down its rows in order, as the padded sum down the rows adds
-    them: term j goes to bin j mod N, and a short last row adds +0 to
-    the bins it misses.  Whole rows go a block at a time."""
+def _signed_powers(rho, lo, hi):
+    """(-1)^k rho^k for k = lo..hi-1, the same floats over any range."""
+    weights = rho ** np.arange(float(lo), float(hi))
+    weights[1 - lo % 2::2] *= -1.0
+    return weights
+
+
+def _fold_rows(bins, c, rho, k0):
+    """Add c[j] (-1)^k rho^k, k = k0 + j, to the N `bins` a row of N
+    terms at a time, each bin down its rows in order, as the padded sum
+    down the rows adds them: term j goes to bin j mod N, and a short
+    last row adds +0 to the bins it misses.  Whole rows go a block at a
+    time, each with its own weights."""
     n_nodes = bins.size
     step = n_nodes * max(_CHUNK // n_nodes, 1)
     block = np.empty(min(step, c.size), dtype=complex)
     for start in range(0, c.size, step):
         terms = block[:min(step, c.size - start)]
-        part = slice(start, start + terms.size)
-        np.multiply(c[part], weights[part], out=terms)
+        np.multiply(c[start:start + terms.size],
+                    _signed_powers(rho, k0 + start, k0 + start + terms.size),
+                    out=terms)
         whole = terms.size - terms.size % n_nodes
         if whole:
             rows = terms[:whole].reshape(-1, n_nodes)
@@ -399,23 +408,22 @@ def grid_sum(a0, c, n_nodes, rho=1.0):
     unscaled inverse DFT of C_r = sum_{k = r mod N} (-1)^k rho^k c_k.
     The terms fold straight into the N bins, a row of N at a time and
     in order of k, and the transform is one FFT, so the cost is
-    O(n + N log N) in O(n + N) memory, and every phase is exact.  `rho`
-    lies in [0, 1].  DomainError where a value overflows.
+    O(n + N log N) in O(N) memory beyond the terms, and every phase is
+    exact.  `rho` lies in [0, 1].  DomainError where a value overflows.
     """
     n_nodes = int(n_nodes)
     c = np.asarray(c, dtype=complex)
-    weights = rho ** np.arange(1.0, c.size + 1)
-    weights[::2] *= -1.0
     bins = np.zeros(n_nodes, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         if n_nodes == 1:
             # One column, which numpy sums pairwise, not row by row.
-            bins[0] = np.sum(np.r_[0j, c * weights])
+            bins[0] = np.sum(np.r_[0j, c * _signed_powers(rho, 1,
+                                                          c.size + 1)])
         else:
             head = min(c.size, n_nodes - 1)
-            np.multiply(c[:head], weights[:head], out=bins[1:head + 1])
-            _fold_rows(bins, c[head:], weights[head:])
-        del weights
+            np.multiply(c[:head], _signed_powers(rho, 1, head + 1),
+                        out=bins[1:head + 1])
+            _fold_rows(bins, c[head:], rho, head + 1)
         sums = np.fft.ifft(bins, norm="forward")
         del bins
         # A new array, not a view that would keep the complex sums.

@@ -191,7 +191,9 @@ def reference_json(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        # JSON reads "-0" as the integer 0, so -0.0 keeps its point.
+        return "-0.0" if obj == 0 and math.copysign(1.0, obj) < 0 \
+            else format(float(obj), ".17g")
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{json.dumps(k)}: {reference_json(v)}"
                                for k, v in obj.items()) + "}"

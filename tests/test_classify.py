@@ -21,6 +21,7 @@ from circlecomb.classify import (
     comb_by_disk,
     comb_by_filter_limit,
     comb_from_coefficients,
+    _generator_singulars,
 )
 from circlecomb.errors import DomainError
 from circlecomb.realfilter import GridFunction, grid_evaluator
@@ -322,3 +323,11 @@ class TestCombByDisk:
         grid = comb_by_disk(make("cosine", k=1).coefficients(64), n_grid=64)
         assert bool(grid.defined.all())
         assert np.max(np.abs(grid.values - np.cos(grid.thetas()))) < 1e-8
+
+
+def test_a_tag_naming_no_catalog_entry_declares_no_singular_points():
+    # Read as an untagged sequence, not refused: the tag only lends
+    # singular points to the combed grid.
+    seq = CoefficientSequence(0.0, np.zeros(4), np.zeros(4),
+                              generator={"name": "nosuch", "params": {}})
+    assert _generator_singulars(seq) == ()

@@ -635,7 +635,8 @@ class TestExitCodes:
         monkeypatch.setattr(formats, "load_json", refused)
         monkeypatch.setattr(formats.json, "loads", refused)
         seq = tmp_path / "zeros.json"
-        zeros = (formats._HEAD_BYTES + 1024 * formats._TERM_BYTES - 1) // 2
+        zeros = (formats._HEAD_BYTES
+                 + 1024 * len(formats._LONGEST_TERM) - 1) // 2
         seq.write_text("[" + "0," * (zeros - 1) + "0]")
         commas = zeros - 1
         out = tmp_path / "out"
@@ -645,6 +646,35 @@ class TestExitCodes:
         assert len(err) == 1, err
         assert err[0].endswith(f"{seq}: {commas} commas exceed 7168, the "
                                "most in a file of 1024 terms")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "{grid}"],
+        ["comb", "--input", "{grid}", "--method", "fourier"],
+        ["filter", "--input", "{grid}", "--eps", "0.01"],
+        ["spectrum", "--input", "{grid}"],
+    ], ids=["classify", "comb-fourier", "filter", "spectrum"])
+    def test_grid_files_of_many_short_rows_exit_2_unparsed(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # Rows of `0,0,1` up to the byte bound of 1024 rows hold about
+        # 17700 "," against 20 + 2 per row, and are refused before any
+        # parse.
+        monkeypatch.setattr(formats, "MAX_SIZE", 1024)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("parsed")
+
+        monkeypatch.setattr(formats.np, "loadtxt", refused)
+        grid = tmp_path / "short.csv"
+        rows = 1024 * len(formats._LONGEST_ROW) // len("0,0,1\n")
+        grid.write_text("theta,value,defined\n" + "0,0,1\n" * rows)
+        out = tmp_path / "out"
+        assert cli.main([a.format(grid=grid) for a in argv]
+                        + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].endswith(f"{grid}: {2 * rows + 2} commas exceed 2068, "
+                               "the most in a file of 1024 rows")
         assert not out.exists()
 
     def test_a_plain_coefficient_file_at_the_cap_keeps_its_commas(
@@ -958,6 +988,45 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "File name too long" in err[0], err
         assert f"{out}.json" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--input", "{grid}", "--eps-schedule", "0.2,x"],
+         "not a comma list of numbers: '0.2,x'"),
+        (["filter", "--input", "{grid}", "--eps", "0.1",
+          "--method", "multiplier"],
+         "multiplier filtering needs coefficient JSON input"),
+        (["comb", "--input", "{seq}", "--method", "filter-limit"],
+         "filter-limit combing needs grid input"),
+        (["spectrum", "--catalog", "cosine", "--k", "1.5"],
+         "parameter k must be an integer, got '1.5'"),
+    ], ids=["schedule-not-numbers", "filter-multiplier-on-grid",
+            "comb-filter-limit-on-json", "catalog-k-not-integer"])
+    def test_refused_flags_and_routes_exit_2_with_one_line(
+            self, workdir, tmp_path, capsys, argv, message):
+        fill = {"grid": workdir / "cos256.csv", "seq": workdir / "cosseq.json"}
+        out = tmp_path / "out"
+        try:
+            code = cli.main([a.format(**fill) for a in argv]
+                            + ["--output", str(out)])
+        except SystemExit as exc:       # refused by the flag parser
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_output_without_write_access_exits_2_before_any_input(
+            self, tmp_path, capsys, monkeypatch):
+        # Root may write anywhere, so the check's answer is patched.
+        refuse_every_read(monkeypatch)
+        monkeypatch.setattr(cli.os, "access", lambda *args: False)
+        out = tmp_path / "c.json"
+        assert cli.main(["spectrum", "--catalog", "square_wave", "--n", "8",
+                         "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Permission denied" in err[0], err
+        assert str(out) in err[0]
         assert list(tmp_path.iterdir()) == []
 
     def test_a_writable_device_passes_the_output_check(self):

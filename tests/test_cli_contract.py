@@ -155,6 +155,33 @@ def test_inputs_past_the_byte_bound_exit_2_before_parsing(tmp_path, base):
     assert sorted(os.listdir(tmp_path)) == ["c.json", "g.csv"]
 
 
+@pytest.mark.parametrize("base", BASES[1:], ids=map(" ".join, BASES[1:]))
+def test_inputs_that_are_no_regular_file_exit_2_unread(tmp_path, base):
+    # A pipe or a device has no size to hold to the budget, and counting
+    # its "," would drain it or, on /dev/zero, never end.
+    links = {"grid": str(tmp_path / "g.csv"), "seq": str(tmp_path / "c.json")}
+    for path in links.values():
+        os.symlink(os.devnull, path)
+    argv = [a.format(**links) for a in base]
+    code, out, err = run(argv + ["--output", str(tmp_path / "out")])
+    path = argv[argv.index("--input") + 1]
+    assert (code, out) == (2, "")
+    assert err == f"circlecomb {base[0]}: {path}: not a regular file\n"
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "g.csv"]
+
+
+def test_a_sidecar_that_is_no_regular_file_exits_2_unread(tmp_path, inputs):
+    grid = tmp_path / "g.csv"
+    grid.write_bytes(open(inputs["grid"], "rb").read())
+    side = f"{grid}.json"
+    os.symlink(os.devnull, side)
+    code, out, err = run(["filter", "--input", str(grid), "--eps", "0.5",
+                          "--output", str(tmp_path / "out.csv")])
+    assert (code, out) == (2, "")
+    assert err == f"circlecomb filter: {side}: not a regular file\n"
+    assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.csv.json"]
+
+
 @pytest.mark.parametrize("excess", [0, 1])
 def test_a_sidecar_past_the_byte_bound_exits_2_before_parsing(
         tmp_path, inputs, excess):

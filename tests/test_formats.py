@@ -54,6 +54,11 @@ SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                   0.1, 1 / 3)
 
 
+# Floats drawn with signed zeros often.
+SIGNED = st.sampled_from([-0.0, 0.0]) | st.floats(allow_nan=False,
+                                                  allow_infinity=False)
+
+
 def float_pool(rng, size=64):
     """SPECIAL_FLOATS plus random doubles over every binary exponent."""
     spread = rng.standard_normal(size) * 10.0 ** rng.uniform(-320, 300, size)
@@ -234,6 +239,29 @@ class TestCoefficientDocuments:
         save_coefficients(p1, seq)
         save_coefficients(p2, load_coefficients(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(a0=SIGNED, cells=st.lists(st.tuples(SIGNED, SIGNED), max_size=40),
+           theta0=SIGNED)
+    @example(a0=-0.0, cells=[(-0.0, -0.0)] * 4097, theta0=-0.0)
+    def test_signed_zeros_survive_a_round_trip(self, a0, cells, theta0):
+        # JSON reads "-0" as the integer 0, so -0.0 is written "-0.0".
+        a, b = np.array(cells, dtype=float).reshape(-1, 2).T
+        seq = CoefficientSequence(a0, a, b, generator={
+            "name": "step", "params": {"theta0": theta0}})
+        with tempfile.TemporaryDirectory() as tmp:
+            one, two = os.path.join(tmp, "one.json"), \
+                os.path.join(tmp, "two.json")
+            save_coefficients(one, seq)
+            back = load_coefficients(one)
+            save_coefficients(two, back)
+            with open(one, "rb") as f1, open(two, "rb") as f2:
+                assert f1.read() == f2.read()
+        assert np.float64(back.a0).tobytes() == np.float64(a0).tobytes()
+        assert back.a.tobytes() == seq.a.tobytes()
+        assert back.b.tobytes() == seq.b.tobytes()
+        assert math.copysign(1.0, back.generator["params"]["theta0"]) \
+            == math.copysign(1.0, theta0)
 
     def test_malformed_documents_are_rejected(self, tmp_path):
         # The same text from the document and from its file, whichever

@@ -1,6 +1,7 @@
 """Traced peaks of the grid routes and of `grid_sum` at 2^20 nodes, per
 node, of the schedule routes at 65536 nodes x 32 entries, per entry and
-node, and of the coefficient JSON reader and writer at 65536 terms.
+node, and of the coefficient JSON reader and writer and the report
+writer at 65536 terms or nodes.
 
 Each bound counts the arrays over the nodes that the function holds at
 once, 8 bytes per node for each float array and 16 for each complex
@@ -13,7 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from circlecomb.classify import (classify_pointwise, comb_by_filter_limit,
+from circlecomb import classify, cli
+from circlecomb.classify import (RECOVERED, SPIKE_MISMATCH, UNDEFINED,
+                                 ClassificationReport, NodeReport,
+                                 classify_pointwise, comb_by_filter_limit,
                                  comb_from_coefficients)
 from circlecomb.disk import boundary_value_grid
 from circlecomb.formats import load_coefficients, save_coefficients, write_grid
@@ -63,15 +67,21 @@ def test_write_grid_holds_one_chunk(grid, tmp_path):
     assert peak < 4.0, f"write_grid traced peak {peak:.1f} B/node"
 
 
-def test_grid_sum_folds_into_the_bins():
-    # Three rows of terms and a part: their weights (24 B/node), the N
-    # bins and one block of a row's weighted terms, complex (32 B/node);
-    # then the bins and their inverse FFT (32 B/node).  Padding the terms
-    # to whole rows and summing them down by one reshape held 104 B/node.
+@pytest.mark.parametrize("nodes, rows, part, bound", [
+    (N, 3, 5, 52.0), (1 << 16, 16, 3, 56.0)])
+def test_grid_sum_folds_into_the_bins(nodes, rows, part, bound):
+    # While a row folds: the N bins and the row's weighted terms, complex
+    # (32 B/node), and the row's weights and the `arange` of their
+    # exponents (16 B/node); then the bins and their inverse FFT
+    # (32 B/node).
+    # Padding the terms to whole rows and summing them down by one
+    # reshape held 104 B/node at 3 rows; weights for every term made
+    # before the fold held 56 B/node there and 256 B/node at 16 rows.
     rng = np.random.default_rng(3)
-    c = rng.standard_normal(3 * N + 5) + 1j * rng.standard_normal(3 * N + 5)
-    peak = peak_per_node(lambda: grid_sum(0.5, c, N, 0.5))
-    assert peak < 60.0, f"grid_sum traced peak {peak:.1f} B/node"
+    n = rows * nodes + part
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    peak = peak_per_node(lambda: grid_sum(0.5, c, nodes, 0.5), nodes)
+    assert peak < bound, f"grid_sum traced peak {peak:.1f} B/node"
 
 
 def test_kernel_filter_grid_holds_four_float_arrays(grid):
@@ -164,10 +174,11 @@ def coefficient_file(tmp_path_factory):
 
 
 def test_load_coefficients_holds_the_text_and_two_columns(coefficient_file):
-    # The decoded text (1 B per byte of file), and the two columns with
-    # their growth slack and the copy made when one grows (26 B/term);
-    # after the text is freed, the columns and the sequence's own copies
-    # (33 B/term).  The whole-document parse held about 290 B/term.
+    # The decoded text (1 B per byte of file), and beyond it the two
+    # `array('d')` columns with their growth slack and the parsed
+    # `terms` list of one reference per term (25 B/term); after the text
+    # is freed, those and the sequence's own copies of the columns
+    # (42 B/term).  The whole-document parse held about 290 B/term.
     _, path = coefficient_file
     peak = peak_per_node(lambda: load_coefficients(path), TERMS)
     beyond = peak - path.stat().st_size / TERMS
@@ -186,3 +197,33 @@ def test_save_coefficients_holds_one_chunk(coefficient_file, tmp_path):
                          4096)
     assert peak <= 320.0, f"save_coefficients traced {peak:.1f} B per " \
         "chunk term"
+
+
+def test_classify_writes_its_report_one_chunk_at_a_time(
+        tmp_path, monkeypatch):
+    # `classify --output` as the CLI runs it, on a prebuilt report of
+    # 65536 nodes, so the trace holds the write alone: one chunk of 4096
+    # nodes at a time, its floats checked and then written, that is the
+    # cells and their text, their flat tuple, the format string, the
+    # chunk's text and its bytes, under 480 B per node of the chunk at
+    # any length.  Writing the report whole held about 4900 B per chunk
+    # node here, 306 B per node of the report.
+    thetas = grid_nodes(TERMS).tolist()
+    values = np.random.default_rng(13).standard_normal(TERMS).tolist()
+    verdicts = (RECOVERED, UNDEFINED, SPIKE_MISMATCH)
+    nodes = tuple(
+        NodeReport(t, verdicts[i % 3], None, None) if i % 3 == 1
+        else NodeReport(t, verdicts[i % 3], values[i], abs(values[i]))
+        for i, t in enumerate(thetas))
+    report = ClassificationReport("ragged", {"method": "pointwise",
+                                             "tol": 1e-6}, nodes)
+    monkeypatch.setattr(classify, "classify_pointwise",
+                        lambda *args, **kwargs: report)
+    grid = tmp_path / "g.csv"
+    write_grid(grid, GridFunction(np.zeros(16), np.ones(16, bool)))
+    out = tmp_path / "r.json"
+    argv = ["classify", "--input", str(grid), "--output", str(out)]
+    assert cli.main(argv) == 0      # loads the modules the route needs
+    peak = peak_per_node(lambda: cli.main(argv), 4096)
+    assert peak <= 480.0, f"classify --output traced {peak:.1f} B per " \
+        "chunk node"

@@ -485,3 +485,9 @@ def test_derivative_limit_refuses_valueless_window_endpoints():
     with pytest.raises(UndefinedHere):
         filtered_derivative_limit(f, 0.9, eps_schedule=(0.2, 0.1, 0.05))
     assert filtered_derivative_limit(f, 0.0)[0] == 1.0
+
+
+def test_kernel_filter_eval_refuses_an_interval_evaluator():
+    f = EvaluatorFunction(rule=np.cos, domain=(0.0, 10.0))
+    with pytest.raises(DomainError, match="needs a full-circle evaluator"):
+        kernel_filter_eval(f, 1.0, 0.1)

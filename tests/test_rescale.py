@@ -236,3 +236,9 @@ class TestPhysicalGrids:
         flagged = [n.theta for n in rep.nodes if n.verdict == SPIKE_MISMATCH]
         assert flagged == [0.0]
         assert m.from_canonical(flagged[0]) == 5.0
+
+
+def test_filter_physical_grid_refuses_a_grid_without_a_domain():
+    grid = GridFunction(np.cos(grid_nodes(16)), np.ones(16, bool))
+    with pytest.raises(DomainError, match="needs a grid with a domain"):
+        filter_physical_grid(grid, 0.5)
