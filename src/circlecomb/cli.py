@@ -165,7 +165,10 @@ def _check_output(path, sidecar):
     """OSError, as `open` would raise it, unless `path` (and `<path>.json`
     when `sidecar`) can be opened for writing: its directory exists and
     is writable, its name fits the directory's name limit, and an
-    existing file (or device) is writable.  Creates nothing."""
+    existing file (or device) is writable.  With a sidecar, DomainError
+    for an existing target that is no regular file: a grid on a device
+    would leave its sidecar beside the device, and a pipe blocks the
+    write.  Creates nothing."""
     folder = os.path.dirname(path) or os.curdir
     if not os.path.isdir(folder):
         code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
@@ -178,6 +181,8 @@ def _check_output(path, sidecar):
                           os.strerror(errno.ENAMETOOLONG), target)
         if os.path.isdir(target):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        if sidecar and os.path.exists(target) and not os.path.isfile(target):
+            raise DomainError(f"{target}: not a regular file")
         if not (os.access(target, os.W_OK) if os.path.exists(target)
                 else os.access(folder, os.W_OK | os.X_OK)):
             raise OSError(errno.EACCES, os.strerror(errno.EACCES), target)

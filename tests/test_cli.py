@@ -990,6 +990,24 @@ class TestExitCodes:
         assert f"{out}.json" in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--input", "{grid}", "--eps", "0.5"],
+        ["comb", "--input", "{seq}", "--method", "fourier"],
+        ["eval", "--input", "{seq}", "--rho", "0.5", "--grid", "8"],
+    ], ids=["filter-grid", "comb", "eval"])
+    def test_a_grid_output_that_is_no_regular_file_exits_2_unread(
+            self, workdir, tmp_path, capsys, monkeypatch, argv):
+        # A link to a device, so the sidecar would land in tmp_path.
+        refuse_every_read(monkeypatch)
+        out = tmp_path / "out.csv"
+        os.symlink(os.devnull, out)
+        fill = {"grid": workdir / "cos256.csv", "seq": workdir / "cosseq.json"}
+        assert cli.main([a.format(**fill) for a in argv]
+                        + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"circlecomb {argv[0]}: {out}: not a regular file\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     @pytest.mark.parametrize("argv, message", [
         (["classify", "--input", "{grid}", "--eps-schedule", "0.2,x"],
          "not a comma list of numbers: '0.2,x'"),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlecomb import formats
+from circlecomb import _gridrows, formats
 from circlecomb.catalog import make
 from circlecomb.classify import (
     COMBED,
@@ -860,6 +860,38 @@ def test_grid_cells_at_the_fast_path_edges_match_the_reference(tmp_path):
     write_grid(path, grid)
     assert path.read_text(encoding="utf-8") == reference_grid_csv(
         grid.thetas(), values, defined)
+
+
+# Put on the first and last row of every chunk of grid rows, and of
+# every block of cells the kernel works at once: holes, signed zeros,
+# subnormals, and doubles on both sides of the switches to and from the
+# exponent form.
+EDGE_ROW_VALUES = {
+    "hole": [math.nan],
+    "signed-zero": [-0.0, 0.0],
+    "subnormal": [5e-324, -2.225073858507201e-308, 1e-310],
+    "1e-6": [1e-6, -9.9999999999999995e-07, 1e-5, -9.9999999999999991e-06],
+    "1e17": [1e17, -99999999999999984.0, 1e16, -9999999999999998.0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_ROW_VALUES))
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 3 * 8192 + 5])
+def test_grid_csv_matches_the_row_reference_across_chunk_edges(tmp_path,
+                                                              n, kind):
+    rng = np.random.default_rng(n)
+    values = rng.choice(_fast_path_edges(rng), n)
+    rows = _gridrows._BLOCK // 2
+    assert _gridrows._CHUNK % rows == 0
+    edges = [r for start in range(0, n, rows)
+             for r in (start, min(start + rows, n) - 1)]
+    values[edges] = np.resize(EDGE_ROW_VALUES[kind], len(edges))
+    values[rng.random(n) < 0.1] = math.nan
+    defined = ~np.isnan(values)
+    path = tmp_path / "edges.csv"
+    write_grid(path, GridFunction(values, defined))
+    assert path.read_text(encoding="utf-8") == reference_grid_csv(
+        grid_nodes(n), values, defined)
 
 
 class TestGridReadsTakeTheFastPath:

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlecomb.catalog import exact_filtered, make
 from circlecomb.disk import arc_filter_eval, complex_filter, from_coefficients
@@ -27,7 +29,8 @@ from circlecomb.realfilter import (
 from circlecomb.rescale import IntervalMap
 from circlecomb.spectrum import (CoefficientSequence, EvaluatorFunction,
                                  SingularPoint, circle_distance,
-                                 compute_coefficients, grid_nodes)
+                                 compute_coefficients, grid_coefficients,
+                                 grid_nodes, partial_sum_grid)
 
 from conftest import delta_coefficients
 
@@ -176,6 +179,61 @@ def test_grid_filter_of_cosine_matches_multiplier():
     out = kernel_filter_grid(g, 0.1)
     assert out.values == pytest.approx(COS_AVERAGE_TENTH * np.cos(nodes),
                                        abs=1e-5)
+
+
+def _jumps_and_spikes(rng, n_nodes):
+    """Grid values of a few random levels between random jumps, plus a
+    cosine and up to two spiked nodes."""
+    nodes = grid_nodes(n_nodes)
+    jumps = np.sort(rng.uniform(-PI, PI, rng.integers(1, 4)))
+    levels = rng.uniform(-2.0, 2.0, jumps.size + 1)
+    v = levels[np.searchsorted(jumps, nodes)] \
+        + rng.uniform(-1.0, 1.0) * np.cos(rng.integers(1, 5) * nodes)
+    v[rng.integers(0, n_nodes, rng.integers(0, 3))] += rng.uniform(-3.0, 3.0)
+    return v
+
+
+def _alias_tail_bound(v, n, eps):
+    """Bound on sum_{k > n} |sinc(k eps) c_k| for the coefficients c_k of
+    `grid_coefficients(v, n)`, n a multiple of N = v.size and eps at
+    least one cell.  |c_k| = (2/N) |F_r| sin^2(pi r/N) (N/(pi k))^2 with
+    F = fft(v) and r = k mod N, and |sinc(k eps)| <= 1/(k eps), so each
+    residue class r sums 1/k^3 over k = k0 + mN, m >= 0, k0 = n + r,
+    which is at most 1/k0^3 + 1/(2 N k0^2)."""
+    n_nodes = v.size
+    r = np.arange(n_nodes)
+    k0 = (n + np.where(r == 0, n_nodes, r)).astype(float)
+    per_class = (2.0 / n_nodes) * np.abs(np.fft.fft(v)) \
+        * np.sin(PI * r / n_nodes) ** 2 \
+        * (1.0 / k0 ** 3 + 1.0 / (2 * n_nodes * k0 ** 2))
+    return np.sum(per_class) * (n_nodes / PI) ** 2 / eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_nodes=st.integers(16, 2048),
+       ratio=st.integers(1, 16), cells=st.floats(0.0, 1.0))
+def test_grid_filter_matches_the_multiplier_on_the_interpolant(
+        seed, n_nodes, ratio, cells):
+    # The kernel route averages the interpolant exactly; the multiplier
+    # route truncates its series at n = ratio * N.  They differ by the
+    # series' tail past n, plus the rounding of both: a few u per stage
+    # of the FFTs (log2 of their length) on the sum of |c_k|, and the
+    # compensated windows' few u on max|v|.
+    rng = np.random.default_rng(seed)
+    v = _jumps_and_spikes(rng, n_nodes)
+    h = 2 * PI / n_nodes
+    eps = min(h * (n_nodes / 2) ** cells, PI)     # one cell up to pi
+    n = ratio * n_nodes
+    kernel = kernel_filter_grid(
+        GridFunction(values=v, defined=np.ones(n_nodes, bool)), eps)
+    seq = grid_coefficients(v, n)
+    multiplier = partial_sum_grid(multiplier_filter(seq, eps), n_nodes)
+    u = np.finfo(float).eps / 2
+    rounding = u * (2 * math.log2(n) + 8) \
+        * (abs(seq.a0) + np.sum(np.hypot(seq.a, seq.b))) \
+        + 8 * u * np.max(np.abs(v))
+    gap = np.max(np.abs(kernel.values - multiplier))
+    assert gap <= _alias_tail_bound(v, n, eps) + rounding
 
 
 def test_grid_filter_spreads_undefined_nodes():
