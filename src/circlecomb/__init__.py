@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "catalog": "CatalogEntry exact_filtered make names",
     "classify": "ClassificationReport CoefficientCertificate "
-                "FourierCombResult NodeReport certificate_report "
+                "FourierCombResult certificate_report "
                 "classify_coefficients classify_pointwise comb_by_disk "
                 "comb_by_filter_limit comb_from_coefficients",
     "disk": "DiskPoint InnerAnalyticFunction arc_filter_eval "

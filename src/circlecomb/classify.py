@@ -36,6 +36,7 @@ RECOVERED = "recovered"
 SPIKE_MISMATCH = "spike_mismatch"
 JUMP_MIDPOINT_MISMATCH = "jump_midpoint_mismatch"
 UNDEFINED = "undefined"
+VERDICTS = (RECOVERED, SPIKE_MISMATCH, JUMP_MIDPOINT_MISMATCH, UNDEFINED)
 
 DEFAULT_TOL = 1e-6
 
@@ -45,18 +46,19 @@ _SNAP = 1e-9
 
 
 @dataclass(frozen=True)
-class NodeReport:
-    theta: float
-    verdict: str
-    value: Optional[float]
-    residual: Optional[float]
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
     overall: str
     params: dict
-    nodes: tuple
+    nodes: np.recarray
+
+
+def _node_records(thetas) -> np.recarray:
+    """Undefined records at `thetas`; a NaN value or residual is null."""
+    nodes = np.recarray(len(thetas), [("theta", float), ("verdict", object),
+                                      ("value", float), ("residual", float)])
+    nodes.theta, nodes.verdict = thetas, UNDEFINED
+    nodes.value = nodes.residual = np.nan
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -137,30 +139,26 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
     massive = mass_signatures(sched, samples, np.where(
         ~trusted & ~np.isnan(samples[0]), tol, np.inf))
 
-    probed = np.flatnonzero(missed | massive)
-    jumps = np.zeros(live.size, dtype=bool)
+    probed = live[missed | massive]
     offs = np.array([2.0 * h_lateral, h_lateral, 0.5 * h_lateral])
-    at = thetas[live[probed]]
+    at = thetas[probed]
     lp, cp, _ = neville_to_zero(offs, f.sample(wrap_angle(at + offs[:, None])))
     lm, cm, _ = neville_to_zero(offs, f.sample(wrap_angle(at - offs[:, None])))
-    jumps[probed] = np.isfinite(lp) & np.isfinite(lm) \
+    jumps = np.isfinite(lp) & np.isfinite(lm) \
         & (np.abs(lp - lm) > tol + 4.0 * (cp + cm))
 
-    nodes = [NodeReport(float(t), UNDEFINED, None, None) for t in thetas]
-    for j in np.flatnonzero(trusted | massive):
-        verdict = RECOVERED if trusted[j] and not missed[j] \
-            else JUMP_MIDPOINT_MISMATCH if jumps[j] else SPIKE_MISMATCH
-        limit, residual = (float(limits[j]), float(residuals[j])) \
-            if trusted[j] else (None, None)
-        nodes[live[j]] = NodeReport(nodes[live[j]].theta, verdict, limit,
-                                    residual)
-
-    ragged = any(r.verdict in (SPIKE_MISMATCH, JUMP_MIDPOINT_MISMATCH)
-                 for r in nodes)
+    nodes = _node_records(thetas)
+    nodes.verdict[probed] = SPIKE_MISMATCH
+    nodes.verdict[probed[jumps]] = JUMP_MIDPOINT_MISMATCH
+    nodes.verdict[live[trusted & ~missed]] = RECOVERED
+    nodes.value[live[trusted]] = limits[trusted]
+    nodes.residual[live[trusted]] = residuals[trusted]
+    ragged = np.any((nodes.verdict == SPIKE_MISMATCH)
+                    | (nodes.verdict == JUMP_MIDPOINT_MISMATCH))
     params = {"method": "pointwise", "n_grid": int(n_grid),
               "eps_schedule": [float(e) for e in es], "tol": float(tol)}
     return ClassificationReport(overall=RAGGED if ragged else COMBED,
-                                params=params, nodes=tuple(nodes))
+                                params=params, nodes=nodes)
 
 
 DEFAULT_CERT_EPS = (0.1, 0.05, 0.025, 0.0125)
@@ -192,7 +190,7 @@ def certificate_report(cert: CoefficientCertificate) -> ClassificationReport:
               "multipliers": [list(row) for row in cert.multipliers],
               "max_final_gap": cert.max_final_gap}
     return ClassificationReport(overall=cert.verdict, params=params,
-                                nodes=())
+                                nodes=_node_records(()))
 
 
 # ----------------------------------------------------------------- combing

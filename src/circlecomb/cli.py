@@ -300,6 +300,8 @@ def cmd_comb(args) -> int:
     _check_size("--grid", args.grid, 2)
     if _is_json(args.input):
         _refuse_unread(args, ("n",), "comb on coefficient JSON")
+        if args.method == "filter-limit":
+            raise DomainError("filter-limit combing needs grid input")
         seq, grid = formats.load_coefficients(args.input), None
     else:
         seq, grid = None, formats.read_grid(args.input)
@@ -317,8 +319,6 @@ def cmd_comb(args) -> int:
         seq = grid_coefficients(grid.values, **_given(args, ("n",)))
 
     if args.method == "filter-limit":
-        if grid is None:
-            raise DomainError("filter-limit combing needs grid input")
         from .realfilter import grid_evaluator
         out = classify.comb_by_filter_limit(grid_evaluator(grid), n_grid,
                                             **_given(args, ("eps_schedule",)))

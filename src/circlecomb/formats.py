@@ -12,7 +12,7 @@ nodes of a report, 4096 at a time, each by one `%`-format over a flat
 tuple of cells; the small parts take the element-wise writer.  Whatever
 could be refused is serialized or checked before a file is opened, so a
 refused value leaves no file behind: grid rows and coefficient terms
-hold no value to refuse, and a report's floats are checked before its
+hold no value to refuse, and a report's columns are checked before its
 first chunk, so all three stream to their file a chunk at a time.
 Every file is written by one writer, and a failure while writing
 removes the partial file.
@@ -63,16 +63,16 @@ _GRID_HEADER = "theta,value,defined"
 _GRID_FIELDS = np.dtype([("theta", float), ("value", float),
                          ("defined", np.int64)])
 
-# One coefficient term and one report node; `%.17g` cells come straight
-# from floats, `%s` cells are written beforehand.
+# One coefficient term and one report node; `%.17g` cells come from floats,
+# verdicts (which need no escaping) as they are, other `%s` cells made first.
 _TERM = '{"k": %d, "a": %.17g, "b": %.17g}'
-_NODE = '{"theta": %.17g, "verdict": %s, "value": %s, "residual": %s}'
+_NODE = '{"theta": %.17g, "verdict": "%s", "value": %s, "residual": %s}'
 
 # Largest grid or coefficient count read from a file, and the largest
 # --n and --grid the command line accepts.  At 2^20 a job peaks at
 # 63 MB writing coefficient JSON (`spectrum --n`) and 112 MB reading it
 # (`eval`), 78-105 MB on the grid routes, and 305 MB (`comb --method
-# filter-limit`) to 483 MB (`classify` and its per-node reports) with the
+# filter-limit`) to 394 MB (`classify` and its node records) with the
 # default widths: under about 1 GB, 8x above the largest sizes in use
 # (131072 nodes, 32768 harmonics).
 MAX_SIZE = 1 << 20
@@ -95,7 +95,7 @@ _NUMBER = (int, float)
 
 def _check_json_floats(values):
     """Refuse NaN and inf in floats bound for JSON."""
-    x = np.array(values, dtype=float)
+    x = np.asarray(values, dtype=float)
     if np.isnan(x).any():
         raise DomainError("cannot serialize NaN inside JSON; "
                           "use null for missing values")
@@ -485,15 +485,17 @@ def read_grid(path):
 
 def report_chunks(report):
     """The report document as text chunks: the head with the overall
-    verdict and params, one object per node with its theta, verdict,
-    value and residual (null when None) 4096 nodes at a time, and the
-    tail.  Every float is checked, a chunk at a time, before the first
-    chunk is made, so a refused value leaves no file."""
+    verdict and params, the nodes 4096 at a time, null where a value or
+    residual is NaN, and the tail.  Each column is checked once before
+    the first chunk (finite thetas, no infinite value or residual, only
+    `classify.VERDICTS`), so a refused value leaves no file."""
+    from .classify import VERDICTS   # only the classify route needs it
     nodes = report.nodes
-    for start in range(0, len(nodes), _CHUNK_TERMS):
-        _check_json_floats([x for node in nodes[start:start + _CHUNK_TERMS]
-                            for x in (node.theta, node.value, node.residual)
-                            if x is not None])
+    _check_json_floats(nodes.theta)
+    if np.isinf(nodes.value).any() or np.isinf(nodes.residual).any():
+        raise DomainError("cannot serialize an infinite number")
+    if odd := set(nodes.verdict).difference(VERDICTS):
+        raise DomainError(f"cannot serialize verdict {min(map(repr, odd))}")
     head = '{"overall": %s, "params": %s, "nodes": [' % (
         dumps_json(report.overall), dumps_json(report.params))
     return chain((head,), _node_chunks(nodes), ("]}",))
@@ -501,14 +503,13 @@ def report_chunks(report):
 
 def _node_chunks(nodes):
     def number(x):
-        return "null" if x is None else "%.17g" % x
+        return "null" if math.isnan(x) else "%.17g" % x
 
-    quoted = {v: json.dumps(v) for v in {node.verdict for node in nodes}}
     for start in range(0, len(nodes), _CHUNK_TERMS):
         part = nodes[start:start + _CHUNK_TERMS]
-        cells = chain.from_iterable(
-            (node.theta, quoted[node.verdict], number(node.value),
-             number(node.residual)) for node in part)
+        cells = chain.from_iterable(zip(part.theta.tolist(), part.verdict,
+                                        map(number, part.value.tolist()),
+                                        map(number, part.residual.tolist())))
         yield (", " if start else "") + _signed_zeros(
             ", ".join([_NODE] * len(part)) % tuple(cells))
 

@@ -332,5 +332,5 @@ def grid_evaluator(grid: GridFunction) -> EvaluatorFunction:
         rule=rule,
         singular_points=tuple(SingularPoint(s) for s in grid.singular_points)
         + (() if grid.domain is None else SEAM),
-        quadrature_pins=tuple(float(t) for t in grid.thetas()),
+        quadrature_pins=grid.thetas(),
         name="grid-interpolant", window_average=window_average)

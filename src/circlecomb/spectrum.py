@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,18 +74,18 @@ class EvaluatorFunction:
     return one of the same shape (scalars also work).  It returns NaN
     wherever the function has no value.  `singular_points` declares
     jumps, kinks and poles so quadrature can pin panels there and
-    classification can keep its windows clear.  `quadrature_pins` are
-    further panel anchors: removable single-point defects (spikes), so
-    that no sample abscissa ever lands on one and every integral is
-    blind to them, and points with no analytic meaning, e.g.
-    interpolation nodes.
+    classification can keep its windows clear.  `quadrature_pins`, a
+    sequence of angles, are further panel anchors: removable single-point
+    defects (spikes), so that no sample abscissa ever lands on one and
+    every integral is blind to them, and points with no analytic
+    meaning, e.g. interpolation nodes (an array of them).
     `window_average`, when present, maps centres and half-widths (arrays)
     to exact window averages, NaN where a window reads no value, which
     `realfilter.window_averages` uses in place of quadrature.
     """
     rule: Callable
     singular_points: tuple = ()
-    quadrature_pins: tuple = ()
+    quadrature_pins: Sequence[float] = ()
     domain: tuple = (-math.pi, math.pi)
     name: str = ""
     window_average: Optional[Callable] = None

@@ -206,7 +206,10 @@ class TestCoefficientCertificates:
         cert = classify_coefficients(make("cosine", k=3).coefficients(16))
         report = certificate_report(cert)
         assert report.overall == COMBED
-        assert report.nodes == ()
+        # No nodes, in the records a pointwise report holds.
+        assert report.nodes.size == 0
+        assert report.nodes.dtype == classify_pointwise(
+            make("cosine", k=1).evaluator, n_grid=16).nodes.dtype
         assert report.params["method"] == "coefficients"
         assert report.params["checked_k"] == [1, 8, 16]
         assert report.params["max_final_gap"] == cert.max_final_gap

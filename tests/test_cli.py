@@ -34,6 +34,8 @@ from circlecomb.realfilter import GridFunction, grid_evaluator, kernel_filter_gr
 from circlecomb.rescale import IntervalMap
 from circlecomb.spectrum import grid_nodes
 from conftest import exact_phase_sums, reference_grid_csv, reference_json
+from test_realfilter import (_alias_tail_bound, _jumps_and_spikes,
+                             _one_cell_to_pi, _routes_rounding)
 
 EPS = np.finfo(float).eps
 
@@ -344,6 +346,40 @@ class TestPipelines:
         assert p.returncode == 0
         grid = read_grid(grid_path)
         assert np.max(np.abs(grid.values - np.cos(grid.thetas()))) < 1e-5
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_nodes=st.integers(16, 2048),
+           ratio=st.integers(1, 16), cells=st.floats(0.0, 1.0))
+    def test_the_multiplier_chain_matches_the_kernel_on_a_grid(
+            self, seed, n_nodes, ratio, cells):
+        # `spectrum --input`, `filter --method multiplier` and `comb
+        # --method fourier --grid N` take the interpolant's series through
+        # files that carry every double exactly, so they meet `filter
+        # --method kernel` on the same CSV within the library's bound.
+        rng = np.random.default_rng(seed)
+        v = _jumps_and_spikes(rng, n_nodes)
+        eps = repr(_one_cell_to_pi(n_nodes, cells))
+        n = ratio * n_nodes
+        with tempfile.TemporaryDirectory() as tmp:
+            grid, seq, filtered, chain, kernel = (
+                os.path.join(tmp, name) for name in
+                ("g.csv", "s.json", "f.json", "c.csv", "k.csv"))
+            write_grid(grid, GridFunction(v, np.ones(n_nodes, bool)))
+            for argv in (
+                    ["spectrum", "--input", grid, "--n", str(n),
+                     "--output", seq],
+                    ["filter", "--input", seq, "--method", "multiplier",
+                     "--eps", eps, "--output", filtered],
+                    ["comb", "--input", filtered, "--method", "fourier",
+                     "--grid", str(n_nodes), "--output", chain],
+                    ["filter", "--input", grid, "--method", "kernel",
+                     "--eps", eps, "--output", kernel]):
+                assert cli.main(argv) == 0, argv
+            gap = np.max(np.abs(read_grid(chain).values
+                                - read_grid(kernel).values))
+            bound = _alias_tail_bound(v, n, float(eps)) \
+                + _routes_rounding(v, load_coefficients(seq))
+        assert gap <= bound
 
     def test_reruns_are_byte_identical(self, workdir):
         outs = []
@@ -1032,6 +1068,19 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_filter_limit_on_coefficient_json_exits_2_unread(
+            self, workdir, tmp_path, capsys, monkeypatch):
+        # The route reads no coefficients, so the file is never parsed.
+        refuse_every_read(monkeypatch)
+        out = tmp_path / "out.csv"
+        assert cli.main(["comb", "--input", str(workdir / "cosseq.json"),
+                         "--method", "filter-limit",
+                         "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["circlecomb comb: filter-limit combing needs grid "
+                       "input"], err
         assert list(tmp_path.iterdir()) == []
 
     def test_an_output_without_write_access_exits_2_before_any_input(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlecomb import _gridrows, formats
+from circlecomb import _gridrows, classify, formats
 from circlecomb.catalog import make
 from circlecomb.classify import (
     COMBED,
@@ -23,7 +23,6 @@ from circlecomb.classify import (
     SPIKE_MISMATCH,
     UNDEFINED,
     ClassificationReport,
-    NodeReport,
     certificate_report,
     classify_coefficients,
     classify_pointwise,
@@ -655,6 +654,28 @@ class TestReportDocuments:
                    for n in holes)
         assert "null" in text
 
+    @pytest.mark.parametrize("row, message", [
+        ((0.5, "a: -0, b", None, None), "verdict 'a: -0, b'"),
+        ((0.5, None, None, None), "verdict None"),
+        ((math.nan, RECOVERED, 1.0, 0.0), "NaN"),
+        ((-math.inf, UNDEFINED, None, None), "infinite"),
+        ((0.5, RECOVERED, math.inf, 0.0), "infinite"),
+        ((0.5, SPIKE_MISMATCH, None, -math.inf), "infinite"),
+    ], ids=["verdict-with-a-negative-zero", "verdict-none", "theta-nan",
+            "theta-inf", "value-inf", "residual-inf"])
+    def test_a_refused_node_raises_before_any_chunk(self, tmp_path, row,
+                                                    message):
+        # The refused node is the last of two chunks, and the text's
+        # "-0" rewrite would have turned the verdict into "a: -0.0, b".
+        rows = [(0.0, RECOVERED, 1.0, 0.0)] * 4096 + [row]
+        report = ClassificationReport(RAGGED, {}, node_records(rows))
+        with pytest.raises(DomainError, match=message):
+            formats.report_chunks(report)
+        path = tmp_path / "r.json"
+        with pytest.raises(DomainError, match=message):
+            formats.save_text(path, formats.report_chunks(report))
+        assert not path.exists()
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 # Column strategies for record lists, which `dumps_json` writes element
@@ -678,17 +699,28 @@ verdicts = st.sampled_from([RECOVERED, SPIKE_MISMATCH, JUMP_MIDPOINT_MISMATCH,
                             UNDEFINED])
 
 
+def node_records(rows):
+    """A report's node records from (theta, verdict, value, residual)
+    rows; a None value or residual is NaN, which the report writes as
+    null."""
+    nodes = classify._node_records([row[0] for row in rows])
+    for name, column in zip(("verdict", "value", "residual"),
+                            list(zip(*rows))[1:]):
+        nodes[name] = column
+    return nodes
+
+
 @st.composite
 def reports(draw):
-    nodes = draw(st.lists(st.builds(
-        NodeReport, report_floats, verdicts, st.none() | report_floats,
+    rows = draw(st.lists(st.tuples(
+        report_floats, verdicts, st.none() | report_floats,
         st.none() | report_floats), max_size=40))
     params = draw(st.fixed_dictionaries(
         {"method": st.sampled_from(["pointwise", "coefficients"]),
          "eps_schedule": st.lists(report_floats, max_size=4),
          "tol": report_floats}))
     return ClassificationReport(draw(st.sampled_from([COMBED, RAGGED])),
-                                params, tuple(nodes))
+                                params, node_records(rows))
 
 
 @st.composite
@@ -756,15 +788,19 @@ class TestColumnWiseFormats:
 
     @settings(max_examples=60, deadline=None)
     @given(report=reports())
-    @example(report=ClassificationReport(COMBED, {}, ()))
-    @example(report=ClassificationReport(RAGGED, {"tol": -0.0}, (
-        NodeReport(-0.0, UNDEFINED, None, None),
-        NodeReport(5e-324, RECOVERED, -1.7976931348623157e308, 0.0),
-        NodeReport(1.7976931348623157e308, SPIKE_MISMATCH, None, None))))
+    @example(report=ClassificationReport(COMBED, {}, node_records([])))
+    @example(report=ClassificationReport(RAGGED, {"tol": -0.0}, node_records([
+        (-0.0, UNDEFINED, None, None),
+        (5e-324, RECOVERED, -1.7976931348623157e308, -0.0),
+        (1.7976931348623157e308, SPIKE_MISMATCH, None, None)])))
     def test_report_json_matches_the_element_reference(self, report):
+        def cell(x):
+            return None if math.isnan(x) else x
+
         doc = {"overall": report.overall, "params": report.params,
                "nodes": [{"theta": n.theta, "verdict": n.verdict,
-                          "value": n.value, "residual": n.residual}
+                          "value": cell(n.value),
+                          "residual": cell(n.residual)}
                          for n in report.nodes]}
         assert dumps_report(report) == reference_json(doc)
 

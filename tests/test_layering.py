@@ -154,7 +154,7 @@ def test_each_route_loads_only_what_it_runs(inputs, argv, extra):
 EXPORTED = {
     "catalog": "CatalogEntry exact_filtered make names",
     "classify": "ClassificationReport CoefficientCertificate "
-                "FourierCombResult NodeReport certificate_report "
+                "FourierCombResult certificate_report "
                 "classify_coefficients classify_pointwise comb_by_disk "
                 "comb_by_filter_limit comb_from_coefficients",
     "disk": "DiskPoint InnerAnalyticFunction arc_filter_eval "
@@ -179,7 +179,7 @@ PUBLIC = sorted([*EXPORTED] + [name for names in EXPORTED.values()
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC) == 73
+    assert len(PUBLIC) == 72
     assert circlecomb.__all__ == PUBLIC
 
 

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from circlecomb import classify, cli
-from circlecomb.classify import (RECOVERED, SPIKE_MISMATCH, UNDEFINED,
-                                 ClassificationReport, NodeReport,
-                                 classify_pointwise, comb_by_filter_limit,
-                                 comb_from_coefficients)
+from circlecomb.classify import (RECOVERED, SPIKE_MISMATCH,
+                                 ClassificationReport, classify_pointwise,
+                                 comb_by_filter_limit, comb_from_coefficients)
 from circlecomb.disk import boundary_value_grid
 from circlecomb.formats import load_coefficients, save_coefficients, write_grid
 from circlecomb.realfilter import grid_evaluator, kernel_filter_grid
@@ -48,6 +47,14 @@ def peak_per_node(run, units=N):
         return tracemalloc.get_traced_memory()[1] / units
     finally:
         tracemalloc.stop()
+
+
+def test_grid_evaluator_holds_two_float_arrays(grid):
+    # The values with their holes zeroed and the nodes as quadrature
+    # pins (16 B/node).  The pins as a tuple of Python floats held
+    # 48 B/node.
+    peak = peak_per_node(lambda: grid_evaluator(grid))
+    assert peak < 17.0, f"grid_evaluator traced peak {peak:.1f} B/node"
 
 
 def test_grid_function_checks_its_values_without_a_gathered_copy(grid):
@@ -142,7 +149,7 @@ def test_comb_by_filter_limit_holds_four_arrays_per_entry(rough):
 def test_classify_pointwise_holds_four_arrays_per_entry(rough):
     # As comb_by_filter_limit, with f at the nodes and the live nodes'
     # index (16 B/node more, 3 B per entry and node in all).  The node
-    # reports, about 140 B/node, come after the limits and hold less.
+    # records, 32 B/node, come after the limits and hold less.
     peak = peak_per_node(lambda: classify_pointwise(rough, NODES, WIDTHS),
                          NODES * ENTRIES)
     assert peak < 35.0, f"classify_pointwise traced peak {peak:.1f} B"
@@ -202,19 +209,20 @@ def test_save_coefficients_holds_one_chunk(coefficient_file, tmp_path):
 def test_classify_writes_its_report_one_chunk_at_a_time(
         tmp_path, monkeypatch):
     # `classify --output` as the CLI runs it, on a prebuilt report of
-    # 65536 nodes, so the trace holds the write alone: one chunk of 4096
-    # nodes at a time, its floats checked and then written, that is the
-    # cells and their text, their flat tuple, the format string, the
-    # chunk's text and its bytes, under 480 B per node of the chunk at
-    # any length.  Writing the report whole held about 4900 B per chunk
-    # node here, 306 B per node of the report.
-    thetas = grid_nodes(TERMS).tolist()
-    values = np.random.default_rng(13).standard_normal(TERMS).tolist()
-    verdicts = (RECOVERED, UNDEFINED, SPIKE_MISMATCH)
-    nodes = tuple(
-        NodeReport(t, verdicts[i % 3], None, None) if i % 3 == 1
-        else NodeReport(t, verdicts[i % 3], values[i], abs(values[i]))
-        for i, t in enumerate(thetas))
+    # 65536 nodes, so the trace holds the write alone: the column checks
+    # (a mask of 1 B per node of the report at a time), then one chunk
+    # of 4096 nodes at a time, that is the cells as Python floats and
+    # their text, their flat tuple, the format string, the chunk's text
+    # and its bytes, under 480 B per node of the chunk.  Writing the
+    # report whole held about 4900 B per chunk node here, 306 B per node
+    # of the report.
+    # Every third node is undefined, with a null value and residual.
+    nodes = classify._node_records(grid_nodes(TERMS))
+    values = np.random.default_rng(13).standard_normal(TERMS)
+    nodes.verdict[0::3] = RECOVERED
+    nodes.verdict[2::3] = SPIKE_MISMATCH
+    nodes.value[0::3], nodes.value[2::3] = values[0::3], values[2::3]
+    nodes.residual = np.abs(nodes.value)
     report = ClassificationReport("ragged", {"method": "pointwise",
                                              "tol": 1e-6}, nodes)
     monkeypatch.setattr(classify, "classify_pointwise",

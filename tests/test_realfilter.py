@@ -209,6 +209,22 @@ def _alias_tail_bound(v, n, eps):
     return np.sum(per_class) * (n_nodes / PI) ** 2 / eps
 
 
+def _routes_rounding(v, seq):
+    """Rounding of the kernel and the multiplier routes on grid values
+    `v` and the interpolant's coefficients `seq`: a few u per stage of
+    the FFTs (log2 of their length) on the sum of |c_k|, and the
+    compensated windows' few u on max|v|."""
+    u = np.finfo(float).eps / 2
+    return u * (2 * math.log2(seq.n) + 8) \
+        * (abs(seq.a0) + np.sum(np.hypot(seq.a, seq.b))) \
+        + 8 * u * np.max(np.abs(v))
+
+
+def _one_cell_to_pi(n_nodes, cells):
+    """A window half-width from one cell (cells = 0) up to pi."""
+    return min(2 * PI / n_nodes * (n_nodes / 2) ** cells, PI)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_nodes=st.integers(16, 2048),
        ratio=st.integers(1, 16), cells=st.floats(0.0, 1.0))
@@ -216,24 +232,52 @@ def test_grid_filter_matches_the_multiplier_on_the_interpolant(
         seed, n_nodes, ratio, cells):
     # The kernel route averages the interpolant exactly; the multiplier
     # route truncates its series at n = ratio * N.  They differ by the
-    # series' tail past n, plus the rounding of both: a few u per stage
-    # of the FFTs (log2 of their length) on the sum of |c_k|, and the
-    # compensated windows' few u on max|v|.
+    # series' tail past n, plus the rounding of both.
     rng = np.random.default_rng(seed)
     v = _jumps_and_spikes(rng, n_nodes)
-    h = 2 * PI / n_nodes
-    eps = min(h * (n_nodes / 2) ** cells, PI)     # one cell up to pi
+    eps = _one_cell_to_pi(n_nodes, cells)
     n = ratio * n_nodes
     kernel = kernel_filter_grid(
         GridFunction(values=v, defined=np.ones(n_nodes, bool)), eps)
     seq = grid_coefficients(v, n)
     multiplier = partial_sum_grid(multiplier_filter(seq, eps), n_nodes)
-    u = np.finfo(float).eps / 2
-    rounding = u * (2 * math.log2(n) + 8) \
-        * (abs(seq.a0) + np.sum(np.hypot(seq.a, seq.b))) \
-        + 8 * u * np.max(np.abs(v))
     gap = np.max(np.abs(kernel.values - multiplier))
-    assert gap <= _alias_tail_bound(v, n, eps) + rounding
+    assert gap <= _alias_tail_bound(v, n, eps) + _routes_rounding(v, seq)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_nodes=st.integers(16, 128),
+       ratio=st.integers(1, 8), cells=st.floats(0.0, 1.0))
+def test_arc_route_matches_the_kernel_and_multiplier_on_the_interpolant(
+        seed, n_nodes, ratio, cells):
+    # The arc route sums the same truncated series as the multiplier
+    # route, so the two differ by rounding alone, and the arc route
+    # differs from the kernel route by the tail past n and rounding.
+    # Its own rounding: Horner's over the n primitive coefficients
+    # c_k / k on |z| = 1, at most 4u per step (a complex multiply and
+    # add), in each of two evaluations; the endpoints z = e^{i(theta +-
+    # eps)} off by (2 pi + 2)u in angle, which moves the primitive by
+    # that much times sum |c_k|; and the difference divided by 2 eps.
+    rng = np.random.default_rng(seed)
+    v = _jumps_and_spikes(rng, n_nodes)
+    eps = _one_cell_to_pi(n_nodes, cells)
+    n = ratio * n_nodes
+    kernel = kernel_filter_grid(
+        GridFunction(values=v, defined=np.ones(n_nodes, bool)), eps).values
+    seq = grid_coefficients(v, n)
+    multiplier = partial_sum_grid(multiplier_filter(seq, eps), n_nodes)
+    w = from_coefficients(seq)
+    arc = seq.a0 + np.array([arc_filter_eval(w, t, eps, rho=1.0).real
+                             for t in grid_nodes(n_nodes)])
+    u = np.finfo(float).eps / 2
+    size = np.hypot(seq.a, seq.b)
+    arc_rounding = u / eps * (
+        (4 * n + 8) * np.sum(size / np.arange(1, n + 1))
+        + (2 * PI + 2) * np.sum(size)) + 2 * u * abs(seq.a0)
+    rounding = _routes_rounding(v, seq) + arc_rounding
+    assert np.max(np.abs(arc - multiplier)) <= rounding
+    assert np.max(np.abs(arc - kernel)) <= \
+        _alias_tail_bound(v, n, eps) + rounding
 
 
 def test_grid_filter_spreads_undefined_nodes():
