@@ -9,7 +9,7 @@ extrapolation in the parameter itself handles those.
 judged by the divergence and concentrated-mass heuristics below.  This
 module is the one place for those limits: the schedule check, the
 Neville tableau (a row at a time), the model choice and the heuristics
-(one least-squares fit per distinct schedule), over one column per node.
+(least-squares fits on the base schedule), over one column per node.
 """
 
 from __future__ import annotations
@@ -46,11 +46,13 @@ def neville_to_zero(xs, values):
 
 # Corrections below this never count as a blowup, however they grow.
 _DIVERGENCE_FLOOR = 1e-8
+# Columns per concentrated-mass fit: a block's copy stays small.
+_BLOCK = 4096
 
 
-def mass_signatures(eps, samples, tol):
-    """Per column of `samples` (m, N): True when its window averages at
-    half-widths `eps` (m, N) grow like concentrated mass at the point.
+def mass_signatures(es, samples, tol):
+    """Per column of `samples` (m, N): True when its window averages
+    grow like concentrated mass at the point.
 
     Mass lodged at the evaluation point itself (a jump's one-sided
     difference, an outlier sample under an interpolant) makes the
@@ -63,28 +65,24 @@ def mass_signatures(eps, samples, tol):
     residual and `tol` (a scalar or one per column), and the residual
     to be structurally small next to the growth, which keeps any
     amplitude of smooth or kinked data unflagged (both guards scale
-    linearly with the data).  Columns sharing a schedule share one fit;
-    an infinite tol or fewer than 4 samples never flag, and go unfitted.
+    linearly with the data).  A column's own scale on the base schedule
+    `es` (m,) only rescales the basis, so one fit on `es` serves `_BLOCK`
+    columns.  Infinite tol or fewer than 4 samples: not fitted, no flag.
     """
     tol = np.broadcast_to(tol, samples.shape[1:])
     flags = np.zeros(tol.shape, dtype=bool)
-    cols = np.flatnonzero(tol < np.inf)
-    if len(eps) < 4 or not cols.size:
+    if len(es) < 4:
         return flags
-    # Equal schedules end up adjacent; a group starts where a row changes.
-    cols = cols[np.lexsort([row[cols] for row in eps])]
-    starts = np.zeros(cols.size, dtype=bool)
-    for e in (row[cols] for row in eps):
-        starts[1:] |= e[1:] != e[:-1]
-    for group in np.split(cols, np.flatnonzero(starts)):
-        es = eps[:, group[0]]
-        basis = np.column_stack([np.ones(es.size), es ** 2, 1.0 / es])
-        vals = samples[:, group]
+    basis = np.column_stack([np.ones(es.size), es ** 2, 1.0 / es])
+    cols = np.flatnonzero(tol < np.inf)
+    for lo in range(0, cols.size, _BLOCK):
+        block = cols[lo:lo + _BLOCK]
+        vals = samples[:, block]
         coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
         vals -= basis @ coef
         resid = np.sqrt(np.sum(vals * vals, axis=0))
         growth = np.abs(coef[2]) * (1.0 / es[-1] - 1.0 / es[0])
-        flags[group] = (growth > 4.0 * (resid + tol[group])) \
+        flags[block] = (growth > 4.0 * (resid + tol[block])) \
             & (resid <= 0.01 * growth)
     return flags
 
@@ -100,9 +98,10 @@ def check_eps_schedule(eps_schedule) -> np.ndarray:
     return es
 
 
-def extrapolated_limits(eps, samples):
+def extrapolated_limits(es, scale, samples):
     """Shrinking-window limits column by column, from window averages
-    `samples` (m, N) at half-widths `eps` of the same shape.
+    `samples` (m, N) at half-widths `es[:, None] * scale`: the base
+    schedule `es` (m,) times one scale per column (N,).
 
     Runs the even-power model (polynomial in eps^2, right for windows
     centred at smooth points) and the plain polynomial model (right at
@@ -114,6 +113,7 @@ def extrapolated_limits(eps, samples):
     with the concentrated-mass signature (growth like 1/eps, which
     polynomial extrapolation fits deceptively well).
     """
+    eps = es[:, None] * scale
     v_even, c_even, g_even = neville_to_zero(eps * eps, samples)
     v_poly, c_poly, g_poly = neville_to_zero(eps, samples)
     poly = c_poly < c_even
@@ -126,16 +126,16 @@ def extrapolated_limits(eps, samples):
     # The largest |sample| of each column, with no (m, N) temporary.
     top = np.maximum(np.max(samples, axis=0), -np.min(samples, axis=0))
     settled &= ~mass_signatures(
-        eps, samples, np.where(suspect, 1e-9 * (1.0 + top), np.inf))
+        es, samples, np.where(suspect, 1e-9 * (1.0 + top), np.inf))
     return values, corr, settled
 
 
 def extrapolated_limit(eps_values, samples):
     """`extrapolated_limits` of one schedule: returns (value, correction)
     and raises NoConvergence where that column is not settled."""
-    es = np.asarray(eps_values, dtype=float)[:, None]
+    es = np.asarray(eps_values, dtype=float)
     vals = np.asarray(samples, dtype=float)[:, None]
-    values, corr, settled = extrapolated_limits(es, vals)
+    values, corr, settled = extrapolated_limits(es, np.ones(1), vals)
     if not settled[0]:
         raise NoConvergence(
             "window averages do not settle (growing corrections or "

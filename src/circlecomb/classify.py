@@ -76,19 +76,19 @@ class CoefficientCertificate:
 def _window_limits(f: EvaluatorFunction, thetas: np.ndarray, es: np.ndarray):
     """Shrinking-window limits at every node in one pass.
 
-    Each node's schedule is `es`, shrunk as a whole so its windows clear
-    the nearest declared singular point (at the point itself, and far
-    from any, the symmetric base).  Returns the schedules and window
-    averages (m, N), then `extrapolated_limits` of them.
+    Each node's schedule is `es` times its scale, below 1 so its windows
+    clear the nearest declared singular point (at the point itself, and
+    far from any, 1).  Returns the window averages (m, N), then
+    `extrapolated_limits` of them.
     """
-    sched = np.repeat(es[:, None], thetas.size, axis=1)
+    scale = np.ones(thetas.size)
     if f.singular_points:
         dist = np.min([circle_distance(thetas, s.theta)
                        for s in f.singular_points], axis=0)
         shrink = (dist > _SNAP) & (dist < 2.0 * es[0])
-        sched[:, shrink] = es[:, None] * (dist[shrink] / (2.0 * es[0]))
-    samples = window_averages(f, thetas, sched)
-    return (sched, samples) + extrapolated_limits(sched, samples)
+        scale[shrink] = dist[shrink] / (2.0 * es[0])
+    samples = window_averages(f, thetas, es[:, None] * scale)
+    return (samples,) + extrapolated_limits(es, scale, samples)
 
 
 def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
@@ -128,7 +128,7 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
     thetas = grid_nodes(n_grid)
     f_vals = f.sample(thetas)
     live = np.flatnonzero(np.isfinite(f_vals))
-    sched, samples, limits, corr, settled = _window_limits(
+    samples, limits, corr, settled = _window_limits(
         f, thetas[live], es)
     residuals = np.abs(f_vals[live] - limits)
     trusted = settled & (corr <= 0.25 * tol)
@@ -136,7 +136,7 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
     # Averages that do not settle on concentrated mass: the node value
     # rides on mass the vanishing window can never keep, so recovery
     # fails outright.
-    massive = mass_signatures(sched, samples, np.where(
+    massive = mass_signatures(es, samples, np.where(
         ~trusted & ~np.isnan(samples[0]), tol, np.inf))
 
     probed = live[missed | massive]
@@ -200,7 +200,7 @@ def comb_by_filter_limit(f: EvaluatorFunction, n_grid: int = 256,
                          ) -> GridFunction:
     """The limit function itself at every node; nodes without a settled
     limit become mask holes instead of errors."""
-    _, _, values, _, settled = _window_limits(
+    _, values, _, settled = _window_limits(
         f, grid_nodes(n_grid), check_eps_schedule(eps_schedule))
     return GridFunction(
         values=values, defined=settled,

@@ -283,10 +283,19 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _deltas_from_rhos(rhos) -> tuple:
+def _deltas_from_rhos(rhos):
+    """`--rho-schedule` as distances 1 - rho from the circle, or None;
+    its radii are checked as given, before they are rounded."""
+    if rhos is None:
+        return None
+    if len(rhos) < 3 or not all(0 < r < 1 for r in rhos) \
+            or not all(a < b for a, b in zip(rhos, rhos[1:])):
+        raise DomainError("--rho-schedule must be >= 3 strictly increasing "
+                          "radii in (0, 1)")
     deltas = tuple(1.0 - r for r in rhos)
-    if not all(0 < d < 1 for d in deltas):
-        raise DomainError("radii must lie strictly inside (0, 1)")
+    if deltas[0] == 1.0 or len(set(deltas)) < len(deltas):
+        raise DomainError("--rho-schedule radii lie too close to 0 or to "
+                          "each other: their 1 - rho round to 1 or repeat")
     return deltas
 
 
@@ -298,6 +307,7 @@ def cmd_comb(args) -> int:
                    f"comb --method {args.method}")
     _check_size("--n", args.n, 1)
     _check_size("--grid", args.grid, 2)
+    deltas = _deltas_from_rhos(args.rho_schedule)
     if _is_json(args.input):
         _refuse_unread(args, ("n",), "comb on coefficient JSON")
         if args.method == "filter-limit":
@@ -329,8 +339,6 @@ def cmd_comb(args) -> int:
         if result.non_convergent:
             out = replace(out, note=out.note + " NonConvergent")
     else:
-        deltas = None if args.rho_schedule is None \
-            else _deltas_from_rhos(args.rho_schedule)
         out = classify.comb_by_disk(seq, n_grid, delta_schedule=deltas,
                                     singular_points=singulars)
     formats.write_grid(args.output, out)
@@ -344,6 +352,7 @@ def cmd_eval(args) -> int:
     from .disk import boundary_value_grid, ring_grid
     _check_size("--grid", args.grid, 2)
     _check_work("--rho-schedule", args.rho_schedule, "--grid", args.grid)
+    deltas = _deltas_from_rhos(args.rho_schedule)
     domain = None if args.domain is None \
         else check_interval(args.domain, "--domain")
     seq = formats.load_coefficients(args.input)
@@ -352,7 +361,6 @@ def cmd_eval(args) -> int:
         defined = np.ones(args.grid, dtype=bool)
         note = f"ring values at rho={args.rho:.17g}"
     else:
-        deltas = _deltas_from_rhos(args.rho_schedule)
         values, _, defined = boundary_value_grid(seq, args.grid, deltas)
         note = "boundary values by radial extrapolation"
     formats.write_grid(args.output, GridFunction(

@@ -148,6 +148,34 @@ def reference_grid_sum(a0, c, n_nodes, rho=1.0):
     return a0 + np.fft.ifft(bins, norm="forward").real
 
 
+def reference_mass_signatures(eps, samples, tol):
+    """`_extrap.mass_signatures` as first written, on half-widths `eps`
+    (m, N) of one schedule per column: one least-squares fit on
+    [1, eps^2, 1/eps] per distinct schedule.  The single fit on the base
+    schedule that replaced it must give its flags."""
+    tol = np.broadcast_to(tol, samples.shape[1:])
+    flags = np.zeros(tol.shape, dtype=bool)
+    cols = np.flatnonzero(tol < np.inf)
+    if len(eps) < 4 or not cols.size:
+        return flags
+    # Equal schedules end up adjacent; a group starts where a row changes.
+    cols = cols[np.lexsort([row[cols] for row in eps])]
+    starts = np.zeros(cols.size, dtype=bool)
+    for e in (row[cols] for row in eps):
+        starts[1:] |= e[1:] != e[:-1]
+    for group in np.split(cols, np.flatnonzero(starts)):
+        es = eps[:, group[0]]
+        basis = np.column_stack([np.ones(es.size), es ** 2, 1.0 / es])
+        vals = samples[:, group]
+        coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
+        vals -= basis @ coef
+        resid = np.sqrt(np.sum(vals * vals, axis=0))
+        growth = np.abs(coef[2]) * (1.0 / es[-1] - 1.0 / es[0])
+        flags[group] = (growth > 4.0 * (resid + tol[group])) \
+            & (resid <= 0.01 * growth)
+    return flags
+
+
 # ------------------------------------------------- reference file formats
 # Element-wise writers and a row reader for the on-disk formats, written
 # with the stdlib only, one row or one element at a time.  The package's

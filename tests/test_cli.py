@@ -827,6 +827,26 @@ class TestExitCodes:
         assert len(err) == 1 and message in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("radii, message", [
+        ("0.9,0.95", "--rho-schedule must be >= 3 strictly increasing radii"),
+        ("0.9,0.9,0.8",
+         "--rho-schedule must be >= 3 strictly increasing radii"),
+        # 1 - 1e-17 rounds to 1: the radius is inside (0, 1), but its
+        # distance from the circle is not.
+        ("1e-17,0.5,0.9", "--rho-schedule radii lie too close to 0"),
+    ], ids=["two-radii", "not-increasing", "radius-rounds-to-0"])
+    @pytest.mark.parametrize("route", [["eval"], ["comb", "--method", "disk"]],
+                             ids=["eval", "comb-disk"])
+    def test_radius_schedules_are_refused_in_the_radii_given(
+            self, workdir, tmp_path, capsys, route, radii, message):
+        out = tmp_path / "out.csv"
+        assert cli.main([route[0], "--input", str(workdir / "cosseq.json"),
+                         *route[1:], "--rho-schedule", radii,
+                         "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["spectrum"],
         ["filter", "--eps", "0.2"],

@@ -134,12 +134,13 @@ def rough():
 
 
 def test_comb_by_filter_limit_holds_four_arrays_per_entry(rough):
-    # The schedule, the window averages, the squared schedule and the
-    # Neville copy (32 B per entry and node).  Over the nodes: the
-    # thetas, the even model's value, correction and growth flag, and
+    # Each node's half-widths (the base schedule times its scale), the
+    # window averages, the squared half-widths and the Neville copy
+    # (32 B per entry and node).  Over the nodes: the thetas, the
+    # scales, the even model's value, correction and growth flag, and
     # the Neville step's temporaries, under 64 B/node (2 B per entry and
     # node at 32 entries).  The window evaluation holds less: the
-    # schedule, the averages and the widths in cells (24 B) and one
+    # half-widths, the averages and the widths in cells (24 B) and one
     # row's temporaries.
     peak = peak_per_node(lambda: comb_by_filter_limit(rough, NODES, WIDTHS),
                          NODES * ENTRIES)
