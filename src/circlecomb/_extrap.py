@@ -113,9 +113,12 @@ def extrapolated_limits(es, scale, samples):
     with the concentrated-mass signature (growth like 1/eps, which
     polynomial extrapolation fits deceptively well).
     """
+    # The poly model first, so the even model's squares can take the
+    # half-widths' place: one (m, N) schedule is held, not two.
     eps = es[:, None] * scale
-    v_even, c_even, g_even = neville_to_zero(eps * eps, samples)
     v_poly, c_poly, g_poly = neville_to_zero(eps, samples)
+    eps *= eps
+    v_even, c_even, g_even = neville_to_zero(eps, samples)
     poly = c_poly < c_even
     values = np.where(poly, v_poly, v_even)
     corr = np.where(poly, c_poly, c_even)

@@ -21,10 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._extrap import (check_eps_schedule, extrapolated_limits,
-                      mass_signatures, neville_to_zero)
 from .errors import CircleCombError, DomainError
-from .realfilter import DEFAULT_EPS_SCHEDULE, window_averages
 from .spectrum import (CoefficientSequence, EvaluatorFunction, GridFunction,
                        circle_distance, grid_nodes, partial_sum_grid, sinc,
                        wrap_angle)
@@ -73,6 +70,15 @@ class CoefficientCertificate:
     max_final_gap: float
 
 
+def _base_schedule(eps_schedule) -> np.ndarray:
+    """`eps_schedule` checked as an array; None is
+    `realfilter.DEFAULT_EPS_SCHEDULE`."""
+    from ._extrap import check_eps_schedule
+    from .realfilter import DEFAULT_EPS_SCHEDULE
+    return check_eps_schedule(DEFAULT_EPS_SCHEDULE if eps_schedule is None
+                              else eps_schedule)
+
+
 def _window_limits(f: EvaluatorFunction, thetas: np.ndarray, es: np.ndarray):
     """Shrinking-window limits at every node in one pass.
 
@@ -81,6 +87,8 @@ def _window_limits(f: EvaluatorFunction, thetas: np.ndarray, es: np.ndarray):
     far from any, 1).  Returns the window averages (m, N), then
     `extrapolated_limits` of them.
     """
+    from ._extrap import extrapolated_limits
+    from .realfilter import window_averages
     scale = np.ones(thetas.size)
     if f.singular_points:
         dist = np.min([circle_distance(thetas, s.theta)
@@ -92,7 +100,7 @@ def _window_limits(f: EvaluatorFunction, thetas: np.ndarray, es: np.ndarray):
 
 
 def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
-                       eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
+                       eps_schedule: Optional[Sequence[float]] = None,
                        tol: float = DEFAULT_TOL) -> ClassificationReport:
     """Per-node comparison of f against its shrinking-window limit.
 
@@ -115,14 +123,16 @@ def classify_pointwise(f: EvaluatorFunction, n_grid: int = 256,
     The lateral probes extrapolate samples at theta +- {2h, h, h/2} to
     one-sided values; their summed last corrections (times 4) widen tol,
     so their truncation error is never mistaken for a genuine jump.
+    No schedule means realfilter.DEFAULT_EPS_SCHEDULE.
     """
+    from ._extrap import mass_signatures, neville_to_zero
     if n_grid < 16:
         raise DomainError(f"classification grid needs >= 16 nodes, "
                           f"got {n_grid}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance tol must be positive and finite, "
                           f"got {tol}")
-    es = check_eps_schedule(eps_schedule)
+    es = _base_schedule(eps_schedule)
     h_lateral = 2.0 * (2.0 * math.pi / n_grid)
 
     thetas = grid_nodes(n_grid)
@@ -196,12 +206,13 @@ def certificate_report(cert: CoefficientCertificate) -> ClassificationReport:
 # ----------------------------------------------------------------- combing
 
 def comb_by_filter_limit(f: EvaluatorFunction, n_grid: int = 256,
-                         eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE
+                         eps_schedule: Optional[Sequence[float]] = None
                          ) -> GridFunction:
     """The limit function itself at every node; nodes without a settled
-    limit become mask holes instead of errors."""
+    limit become mask holes instead of errors.  No schedule means
+    realfilter.DEFAULT_EPS_SCHEDULE."""
     _, values, _, settled = _window_limits(
-        f, grid_nodes(n_grid), check_eps_schedule(eps_schedule))
+        f, grid_nodes(n_grid), _base_schedule(eps_schedule))
     return GridFunction(
         values=values, defined=settled,
         singular_points=tuple(s.theta for s in f.singular_points),

@@ -195,6 +195,14 @@ def _given(args, flags) -> dict:
             if getattr(args, key, None) is not None}
 
 
+def _eps_schedule(args):
+    """`--eps-schedule`, or `realfilter.DEFAULT_EPS_SCHEDULE` where it is
+    unset; the grid routes that read it load `realfilter` anyway."""
+    from .realfilter import DEFAULT_EPS_SCHEDULE
+    return DEFAULT_EPS_SCHEDULE if args.eps_schedule is None \
+        else args.eps_schedule
+
+
 def _refuse_unread(args, flags, route):
     """DomainError when the user set any of `flags`, which `route` never
     reads: a flag silently ignored would pass for one that took effect."""
@@ -278,7 +286,7 @@ def cmd_classify(args) -> int:
                     grid.n)
         report = classify.classify_pointwise(
             grid_evaluator(grid), n_grid=grid.n,
-            **_given(args, ("eps_schedule", "tol")))
+            eps_schedule=_eps_schedule(args), **_given(args, ("tol",)))
     _write_doc(formats.report_chunks(report), args.output)
     return 0
 
@@ -331,7 +339,7 @@ def cmd_comb(args) -> int:
     if args.method == "filter-limit":
         from .realfilter import grid_evaluator
         out = classify.comb_by_filter_limit(grid_evaluator(grid), n_grid,
-                                            **_given(args, ("eps_schedule",)))
+                                            _eps_schedule(args))
     elif args.method == "fourier":
         result = classify.comb_from_coefficients(
             seq, n_grid, singular_points=singulars)

@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._extrap import neville_to_zero
 from .errors import DomainError, OutOfDomain
 from .spectrum import (CoefficientSequence, check_half_width, grid_sum,
                        horner, sinc)
@@ -213,15 +212,20 @@ def boundary_value_grid(seq: CoefficientSequence, n_nodes: int,
     where `defined` is False at nodes whose ring values blow up
     monotonically past the coefficient scale; those values are NaN.
     """
+    from ._extrap import neville_to_zero
     d = _check_schedule(delta_schedule)
     w = from_coefficients(seq)
     _tail_check(w, 1.0 - float(d[-1]))
-    rings = np.array([ring_grid(seq, 1.0 - dj, n_nodes) for dj in d])
+    rings = np.empty((d.size, int(n_nodes)))
+    for ring, dj in zip(rings, d):
+        ring[:] = ring_grid(seq, 1.0 - dj, n_nodes)
 
-    mags = np.abs(rings)
-    growing = np.all(mags[1:] >= _DIVERGE_RATIO * mags[:-1], axis=0)
+    # The growth test a pair of rings at a time: no (m, N) magnitudes.
+    growing = np.ones(rings.shape[1], dtype=bool)
+    for inner, outer in zip(rings[:-1], rings[1:]):
+        growing &= np.abs(outer) >= _DIVERGE_RATIO * np.abs(inner)
     scale = abs(seq.a0) + (float(np.max(np.abs(w.materialize()))) if seq.n else 0.0)
-    blown = mags[-1] > max(_DIVERGE_SCALE * scale, 1e-12)
+    blown = np.abs(rings[-1]) > max(_DIVERGE_SCALE * scale, 1e-12)
     diverged = growing & blown
 
     values, residuals, _ = neville_to_zero(d, rings)

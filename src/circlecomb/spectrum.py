@@ -405,9 +405,13 @@ def grid_sum(a0, c, n_nodes, rho=1.0):
     theta_j = grid_nodes(N): the one synthesis on a uniform grid.
 
     There e^{i k theta_j} = (-1)^k e^{2 pi i k j / N}, so the sum is the
-    unscaled inverse DFT of C_r = sum_{k = r mod N} (-1)^k rho^k c_k.
-    The terms fold straight into the N bins, a row of N at a time and
-    in order of k, and the transform is one FFT, so the cost is
+    real part of the unscaled inverse DFT of
+    C_r = sum_{k = r mod N} (-1)^k rho^k c_k.  The terms fold straight
+    into the N bins, a row of N at a time and in order of k.  The real
+    part is the inverse DFT of the bins' Hermitian part
+    H_r = (C_r + conj C_{-r}) / 2, so one real inverse FFT of its half
+    r = 0..N/2 (Sorensen et al., IEEE Trans. ASSP 35(6), 1987) takes the
+    sum with half a complex transform's work and buffers.  The cost is
     O(n + N log N) in O(N) memory beyond the terms, and every phase is
     exact.  `rho` lies in [0, 1].  DomainError where a value overflows.
     """
@@ -424,10 +428,20 @@ def grid_sum(a0, c, n_nodes, rho=1.0):
             np.multiply(c[:head], _signed_powers(rho, 1, head + 1),
                         out=bins[1:head + 1])
             _fold_rows(bins, c[head:], rho, head + 1)
-        sums = np.fft.ifft(bins, norm="forward")
-        del bins
-        # A new array, not a view that would keep the complex sums.
-        out = a0 + sums.real
+        # H_r for r = 0..N/2 as a copy, so the bins go before the
+        # transform.  H_0 is C_0, as the real transform reads only its
+        # real part; C_{-r} = C_{N-r} for r >= 1.  The parts are added
+        # and halved as floats, in place: a complex product with 0.5
+        # would flip signed zeros.
+        half = bins[:n_nodes // 2 + 1].copy()
+        mirror = bins[:-half.size:-1]
+        half.real[1:] += mirror.real
+        half.imag[1:] -= mirror.imag
+        del bins, mirror
+        parts = half[1:].view(float)
+        parts *= 0.5
+        out = np.fft.irfft(half, n=n_nodes, norm="forward")
+        out += a0
     if not np.all(np.isfinite(out)):
         raise DomainError("coefficients too large: their sums on the grid "
                           "overflow the float range")

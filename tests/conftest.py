@@ -137,15 +137,22 @@ def exact_phase_sums(a0, a, b, n_nodes, rho=1.0, nodes=None):
 
 def reference_grid_sum(a0, c, n_nodes, rho=1.0):
     """`spectrum.grid_sum` as first written: the weighted terms padded to
-    whole rows of N and summed down the rows by one reshape, then the
-    same inverse FFT.  The fold that replaced it must give its bytes."""
+    whole rows of N and summed down the rows by one reshape.  The fold
+    that replaced it must give its bytes.  The last step is the same
+    real inverse FFT of the bins' Hermitian half,
+    H_r = (C_r + conj C_{-r}) / 2 for r = 0..N/2, made here with the
+    mirrored bins C_{-r} taken whole by a roll."""
     c = np.asarray(c, dtype=complex)
     weights = rho ** np.arange(1.0, c.size + 1)
     weights[::2] *= -1.0
     folded = np.zeros(-(-(c.size + 1) // n_nodes) * n_nodes, dtype=complex)
     np.multiply(c, weights, out=folded[1:c.size + 1])
     bins = folded.reshape(-1, n_nodes).sum(axis=0)
-    return a0 + np.fft.ifft(bins, norm="forward").real
+    mirror = np.roll(bins[::-1], 1)
+    half = np.empty(n_nodes // 2 + 1, dtype=complex)
+    half.real = ((bins.real + mirror.real) / 2)[:half.size]
+    half.imag = ((bins.imag - mirror.imag) / 2)[:half.size]
+    return a0 + np.fft.irfft(half, n=n_nodes, norm="forward")
 
 
 def reference_mass_signatures(eps, samples, tol):

@@ -127,15 +127,20 @@ def inputs(tmp_path_factory):
       "--output", "{d}/l.csv"],
      {"classify", "realfilter", "_extrap", "_gridrows"}),
     (["comb", "--input", "{d}/square.json", "--method", "fourier",
-      "--output", "{d}/r.csv"],
-     {"catalog", "classify", "realfilter", "_extrap", "_gridrows"}),
+      "--output", "{d}/r.csv"], {"catalog", "classify", "_gridrows"}),
+    (["comb", "--input", "{d}/square.json", "--method", "disk",
+      "--output", "{d}/b.csv"],
+     {"catalog", "classify", "disk", "_extrap", "_gridrows"}),
     (["eval", "--input", "{d}/square.json", "--rho", "0.5", "--output",
-      "{d}/e.csv"], {"disk", "_extrap", "_gridrows"}),
+      "{d}/e.csv"], {"disk", "_gridrows"}),
     (["eval", "--input", "{d}/square.json", "--rho", "0.5", "--domain",
-      "0,1", "--output", "{d}/i.csv"], {"disk", "_extrap", "_gridrows"}),
+      "0,1", "--output", "{d}/i.csv"], {"disk", "_gridrows"}),
+    (["eval", "--input", "{d}/square.json", "--rho-schedule",
+      "0.9,0.95,0.99", "--output", "{d}/s.csv"],
+     {"disk", "_extrap", "_gridrows"}),
 ], ids=["spectrum-catalog", "spectrum-input", "filter-kernel", "classify",
-        "comb-filter-limit", "comb-fourier-tagged", "eval-rho",
-        "eval-rho-domain"])
+        "comb-filter-limit", "comb-fourier-tagged", "comb-disk-tagged",
+        "eval-rho", "eval-rho-domain", "eval-rho-schedule"])
 def test_each_route_loads_only_what_it_runs(inputs, argv, extra):
     argv = [a.format(d=inputs) for a in argv]
     p = subprocess.run([sys.executable, "-c", PROBE, *argv],

@@ -1,13 +1,17 @@
 """Traced peaks of the grid routes and of `grid_sum` at 2^20 nodes, per
 node, of the schedule routes at 65536 nodes x 32 entries, per entry and
 node, and of the coefficient JSON reader and writer and the report
-writer at 65536 terms or nodes.
+writer at 65536 terms or nodes; and the peak RSS of one synthesis route
+at 2^20 nodes, which also counts the FFT's own buffers that tracemalloc
+does not see.
 
 Each bound counts the arrays over the nodes that the function holds at
 once, 8 bytes per node for each float array and 16 for each complex
 one, plus a stated allowance; the data passed in is not counted.
 """
 
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -79,8 +83,9 @@ def test_write_grid_holds_one_chunk(grid, tmp_path):
 def test_grid_sum_folds_into_the_bins(nodes, rows, part, bound):
     # While a row folds: the N bins and the row's weighted terms, complex
     # (32 B/node), and the row's weights and the `arange` of their
-    # exponents (16 B/node); then the bins and their inverse FFT
-    # (32 B/node).
+    # exponents (16 B/node); then the bins and their Hermitian half
+    # (24 B/node), and the half and its real inverse FFT (16 B/node).
+    # The complex inverse FFT of the bins held 32 B/node there.
     # Padding the terms to whole rows and summing them down by one
     # reshape held 104 B/node at 3 rows; weights for every term made
     # before the fold held 56 B/node there and 256 B/node at 16 rows.
@@ -111,13 +116,50 @@ def test_kernel_filter_grid_masks_the_seam_in_the_same_arrays(grid):
 
 def test_comb_from_coefficients_holds_one_sum_and_one_transform():
     # The full sum (8 B/node) while the half one is made: its folded bins
-    # and their inverse FFT, complex (32 B/node); 2 B/node for the
-    # 512-term series and numpy's scratch.
+    # and their Hermitian half (24 B/node); 2 B/node for the 512-term
+    # series and numpy's scratch.  The complex inverse FFT of the bins
+    # held 40 B/node here.
     rng = np.random.default_rng(5)
     seq = CoefficientSequence(0.5, rng.standard_normal(512),
                               rng.standard_normal(512))
     peak = peak_per_node(lambda: comb_from_coefficients(seq, N))
-    assert peak < 42.0, f"comb_from_coefficients traced peak {peak:.1f} B/node"
+    assert peak < 34.0, f"comb_from_coefficients traced peak {peak:.1f} B/node"
+
+
+# Prints the ru_maxrss (KiB on Linux) of a child that imports
+# circlecomb.cli, then of one that runs the CLI job in argv.  A child's
+# ru_maxrss starts from its parent's RSS at spawn, so the children come
+# from this lean interpreter, not from the test process.
+RSS_PROBE = """
+import os, sys
+def maxrss(code):
+    argv = [sys.executable, "-c", code, *sys.argv[1:]]
+    _, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ), 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss
+print(maxrss("import circlecomb.cli"), maxrss(
+    "import sys; from circlecomb import cli; sys.exit(cli.main(sys.argv[1:]))"))
+"""
+
+
+def test_eval_on_a_ring_peaks_at_the_real_transform(tmp_path):
+    # `eval --rho` of a 512-term series at 2^20 nodes, in RSS above the
+    # import.  The bins, complex (16 B/node), go before the transform
+    # runs; then the Hermitian half (8 B/node), the output (8 B/node),
+    # and pocketfft's work copy and plan for a length-N real transform
+    # (16 B/node).  8 B/node more for the modules the route loads and
+    # the allocator's slack: 40 B/node.  The complex inverse FFT of the
+    # bins, with its buffers, peaked at about 49 B/node.
+    save_coefficients(tmp_path / "c.json", CoefficientSequence(
+        0.0, np.zeros(512), np.random.default_rng(17).standard_normal(512)))
+    argv = ["eval", "--input", str(tmp_path / "c.json"), "--rho", "0.5",
+            "--grid", str(N), "--output", str(tmp_path / "e.csv")]
+    p = subprocess.run([sys.executable, "-c", RSS_PROBE, *argv],
+                       capture_output=True, text=True, check=True)
+    floor_kib, peak_kib = map(int, p.stdout.split())
+    per_node = (peak_kib - floor_kib) * 1024 / N
+    assert per_node < 40.0, f"eval --rho peak RSS {per_node:.1f} B/node " \
+        "above the import"
 
 
 @pytest.fixture(scope="module")
@@ -133,40 +175,43 @@ def rough():
 
 
 
-def test_comb_by_filter_limit_holds_four_arrays_per_entry(rough):
-    # Each node's half-widths (the base schedule times its scale), the
-    # window averages, the squared half-widths and the Neville copy
-    # (32 B per entry and node).  Over the nodes: the thetas, the
-    # scales, the even model's value, correction and growth flag, and
+def test_comb_by_filter_limit_holds_three_arrays_per_entry(rough):
+    # Each node's half-widths (the base schedule times its scale), then
+    # squared in their place, the window averages and the Neville copy
+    # (24 B per entry and node).  Over the nodes: the thetas, the
+    # scales, the poly model's value, correction and growth flag, and
     # the Neville step's temporaries, under 64 B/node (2 B per entry and
-    # node at 32 entries).  The window evaluation holds less: the
+    # node at 32 entries).  The window evaluation now sets the peak: the
     # half-widths, the averages and the widths in cells (24 B) and one
-    # row's temporaries.
+    # row's temporaries.  The squares in an array of their own held
+    # 33.6 B.
     peak = peak_per_node(lambda: comb_by_filter_limit(rough, NODES, WIDTHS),
                          NODES * ENTRIES)
-    assert peak < 34.0, f"comb_by_filter_limit traced peak {peak:.1f} B"
+    assert peak < 32.0, f"comb_by_filter_limit traced peak {peak:.1f} B"
 
 
-def test_classify_pointwise_holds_four_arrays_per_entry(rough):
+def test_classify_pointwise_holds_three_arrays_per_entry(rough):
     # As comb_by_filter_limit, with f at the nodes and the live nodes'
     # index (16 B/node more, 3 B per entry and node in all).  The node
-    # records, 32 B/node, come after the limits and hold less.
+    # records, 32 B/node, come after the limits and hold less.  The
+    # squares in an array of their own held 34.3 B.
     peak = peak_per_node(lambda: classify_pointwise(rough, NODES, WIDTHS),
                          NODES * ENTRIES)
-    assert peak < 35.0, f"classify_pointwise traced peak {peak:.1f} B"
+    assert peak < 33.0, f"classify_pointwise traced peak {peak:.1f} B"
 
 
-def test_boundary_value_grid_holds_three_arrays_per_entry():
-    # The rings, their magnitudes, and the magnitudes scaled for the
-    # growth test or the Neville copy (24 B per entry and node), the
-    # growth mask (1 B), and one ring's transform and the results over
-    # the nodes, under 32 B/node (1 B per entry and node).
+def test_boundary_value_grid_holds_two_arrays_per_entry():
+    # The rings and the Neville copy (16 B per entry and node), and over
+    # the nodes the growth mask, one ring's transform, one pair of rings'
+    # magnitudes and the results, under 32 B/node (1 B per entry and
+    # node).  The rings gathered from a list and their magnitudes held
+    # 24.9 B.
     k = np.arange(1, 65)
     seq = CoefficientSequence(0.5, 0.5 ** k, 0.3 * 0.5 ** k)
     deltas = tuple(0.5 * 0.8 ** j for j in range(ENTRIES))
     peak = peak_per_node(lambda: boundary_value_grid(seq, NODES, deltas),
                          NODES * ENTRIES)
-    assert peak < 26.0, f"boundary_value_grid traced peak {peak:.1f} B"
+    assert peak < 18.0, f"boundary_value_grid traced peak {peak:.1f} B"
 
 
 @pytest.fixture(scope="module")

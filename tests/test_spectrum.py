@@ -275,6 +275,37 @@ def test_grid_sums_have_exact_phases(rng, n, n_nodes, rho):
     assert np.max(np.abs(got - exact)) <= bound
 
 
+def _assert_within_the_exact_phase_bound(rng, n, n_nodes, rho, nodes):
+    # The bound of `test_grid_sums_have_exact_phases`.  a0 is 0, so the
+    # check sees the fold and the transform alone, not the rounding of
+    # a0 + sum.
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    exact = exact_phase_sums(0.0, c.real, -c.imag, n_nodes, rho, nodes)
+    got = grid_sum(0.0, c, n_nodes, rho)[nodes]
+    bound = 4 * EPS * np.sum(rho ** np.arange(1.0, n + 1) * np.abs(c))
+    assert np.max(np.abs(got - exact)) <= bound, (n, n_nodes, rho)
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5, 0.999])
+def test_grid_sums_of_every_small_grid_have_exact_phases(rng, rho):
+    # Both parities of N, and N = 1 and 2, where the Hermitian half is
+    # all of the bins; the terms fill part of the first row, all of it,
+    # or three rows and a part.
+    for n_nodes in range(1, 65):
+        for n in (n_nodes - 1, n_nodes, 3 * n_nodes + 5):
+            _assert_within_the_exact_phase_bound(rng, n, n_nodes, rho,
+                                                 np.arange(n_nodes))
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5, 0.999])
+def test_grid_sums_of_a_large_grid_have_exact_phases(rng, rho):
+    n_nodes = 1 << 17
+    nodes = np.r_[0:n_nodes:2053, n_nodes // 2 - 1:n_nodes // 2 + 2,
+                  n_nodes - 1]
+    for n in (n_nodes - 1, n_nodes, 3 * n_nodes + 5):
+        _assert_within_the_exact_phase_bound(rng, n, n_nodes, rho, nodes)
+
+
 def test_partial_sum_grid_takes_a_million_terms_onto_a_million_nodes():
     # c_k = q^k sums to z (1 - z^n) / (1 - z) at z = q e^{i theta_j}, and
     # z^n = q^n at every node, since n = N is even.  Horner's rule would
